@@ -141,7 +141,8 @@ func PlaceSensorsPath(ds *Dataset, lambdas []float64, cfg Config) ([]*Placement,
 // Predictor is the runtime model of Eq. 20: f* = αˢ·xˢ + c evaluated on the
 // raw voltages of the selected sensors. Fallbacks, when present, carries the
 // fault-tolerance tier: leave-k-out submodels and the per-sensor training
-// statistics the runtime fault detector needs (see FitFallbacks).
+// statistics the runtime fault detector needs (see
+// BuildPredictorWithFallbacks).
 type Predictor struct {
 	Selected  []int // candidate indices feeding the model, ascending
 	Model     *ols.Model
@@ -154,6 +155,15 @@ type Predictor struct {
 // must be strictly ascending: a duplicated index would feed the same
 // reading into two coefficients and silently double-count it.
 func BuildPredictor(ds *Dataset, selected []int) (*Predictor, error) {
+	fa, err := factorSelected(ds, selected)
+	if err != nil {
+		return nil, err
+	}
+	return predictorFrom(fa, selected)
+}
+
+// factorSelected validates the selection and factors its Eq. 17 design.
+func factorSelected(ds *Dataset, selected []int) (*ols.Factored, error) {
 	if err := ds.Check(); err != nil {
 		return nil, err
 	}
@@ -171,14 +181,20 @@ func BuildPredictor(ds *Dataset, selected []int) (*Predictor, error) {
 			return nil, fmt.Errorf("core: selected sensors not ascending at position %d", i)
 		}
 	}
-	xs := ds.X.SelectRows(selected)
-	m, err := ols.Fit(xs, ds.F)
+	fa, err := ols.Factor(ds.X.SelectRows(selected), ds.F)
 	if err != nil {
 		return nil, fmt.Errorf("core: OLS refit: %w", err)
 	}
-	sel := make([]int, len(selected))
-	copy(sel, selected)
-	return &Predictor{Selected: sel, Model: m}, nil
+	return fa, nil
+}
+
+// predictorFrom solves the primary Eq. 17 model of a factored selection.
+func predictorFrom(fa *ols.Factored, selected []int) (*Predictor, error) {
+	m, err := fa.Model()
+	if err != nil {
+		return nil, fmt.Errorf("core: OLS refit: %w", err)
+	}
+	return &Predictor{Selected: append([]int(nil), selected...), Model: m}, nil
 }
 
 // Predict maps the raw voltages of the selected sensors (length Q, ordered

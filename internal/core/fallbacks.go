@@ -133,17 +133,15 @@ func SensorTrainingStats(ds *Dataset, selected []int) []faults.SensorStats {
 	return out
 }
 
-// FitFallbacks fits the leave-k-out submodels for a placement: every
-// leave-one-out model (any single sensor may fail), then a greedy nested
-// chain up to budget simultaneous failures — at each depth the chain drops
-// the additional sensor whose exclusion costs the least training error.
-// The chain trades coverage for artifact size: deeper failures are served
-// only along the chain, and anything else trips the runtime's degraded
-// mode. budget must be in 1..Q-1 (at least one sensor must survive).
-func FitFallbacks(ds *Dataset, selected []int, budget int) (*FallbackSet, error) {
-	if err := ds.Check(); err != nil {
-		return nil, err
-	}
+// fitFallbacks fits the leave-k-out submodels for a placement from the
+// factorization of its design: every leave-one-out model (any single sensor
+// may fail), then a greedy nested chain up to budget simultaneous failures —
+// at each depth the chain drops the additional sensor whose exclusion costs
+// the least training error. The chain trades coverage for artifact size:
+// deeper failures are served only along the chain, and anything else trips
+// the runtime's degraded mode. budget must be in 1..Q-1 (at least one
+// sensor must survive).
+func fitFallbacks(fa *ols.Factored, ds *Dataset, selected []int, budget int) (*FallbackSet, error) {
 	q := len(selected)
 	if q < 2 {
 		return nil, errors.New("core: fallbacks need at least 2 selected sensors")
@@ -156,7 +154,7 @@ func FitFallbacks(ds *Dataset, selected []int, budget int) (*FallbackSet, error)
 	// Depth 1: exact leave-one-out for every sensor.
 	bestSingle, bestErr := -1, math.Inf(1)
 	for i := 0; i < q; i++ {
-		fm, err := fitExcluding(ds, selected, []int{i})
+		fm, err := fitExcluding(fa, q, []int{i})
 		if err != nil {
 			return nil, fmt.Errorf("core: leave-one-out fallback excluding sensor %d: %w", i, err)
 		}
@@ -167,8 +165,20 @@ func FitFallbacks(ds *Dataset, selected []int, budget int) (*FallbackSet, error)
 	}
 
 	// Depths 2..budget: grow the greedy chain from the cheapest singleton.
-	chain := []int{bestSingle}
-	for depth := 2; depth <= budget; depth++ {
+	chain, err := growChain(fa, q, []int{bestSingle}, budget)
+	if err != nil {
+		return nil, err
+	}
+	fs.Models = append(fs.Models, chain...)
+	return fs, nil
+}
+
+// growChain extends the excluded set chain one sensor per depth up to
+// budget, each time by the sensor whose additional exclusion leaves the
+// lowest training error, and returns the chain's models.
+func growChain(fa *ols.Factored, q int, chain []int, budget int) ([]FallbackModel, error) {
+	var out []FallbackModel
+	for depth := len(chain) + 1; depth <= budget; depth++ {
 		var bestModel *FallbackModel
 		bestNext := -1
 		for j := 0; j < q; j++ {
@@ -177,10 +187,10 @@ func FitFallbacks(ds *Dataset, selected []int, budget int) (*FallbackSet, error)
 			}
 			ex := append(append([]int(nil), chain...), j)
 			sort.Ints(ex)
-			fm, err := fitExcluding(ds, selected, ex)
+			fm, err := fitExcluding(fa, q, ex)
 			if err != nil {
-				// This subset is unfittable (rank-deficient or too few
-				// samples); other extensions may still work.
+				// This subset is unfittable (rank-deficient); other
+				// extensions may still work.
 				continue
 			}
 			if bestModel == nil || fm.RelError < bestModel.RelError {
@@ -190,10 +200,10 @@ func FitFallbacks(ds *Dataset, selected []int, budget int) (*FallbackSet, error)
 		if bestModel == nil {
 			return nil, fmt.Errorf("core: no fittable leave-%d-out fallback extends the chain %v", depth, chain)
 		}
-		fs.Models = append(fs.Models, *bestModel)
+		out = append(out, *bestModel)
 		chain = append(chain, bestNext)
 	}
-	return fs, nil
+	return out, nil
 }
 
 func contains(xs []int, v int) bool {
@@ -205,44 +215,37 @@ func contains(xs []int, v int) bool {
 	return false
 }
 
-// fitExcluding refits Eq. 17 on the selected sensors minus the excluded
-// positions and scores it on the training set.
-func fitExcluding(ds *Dataset, selected []int, excluded []int) (*FallbackModel, error) {
-	kept := make([]int, 0, len(selected)-len(excluded))
-	ex := 0
-	for i, s := range selected {
-		if ex < len(excluded) && excluded[ex] == i {
-			ex++
-			continue
-		}
-		kept = append(kept, s)
-	}
-	if len(kept) == 0 {
-		return nil, errors.New("core: fallback would exclude every sensor")
-	}
-	xs := ds.X.SelectRows(kept)
-	m, err := ols.Fit(xs, ds.F)
+// fitExcluding solves Eq. 17 on the q selected sensors minus the excluded
+// positions from the shared factorization, with its training error.
+func fitExcluding(fa *ols.Factored, q int, excluded []int) (*FallbackModel, error) {
+	m, rel, err := fa.Without(excluded)
 	if err != nil {
 		return nil, err
 	}
 	fm := &FallbackModel{
 		Excluded: append([]int(nil), excluded...),
 		Model:    m,
-		RelError: ols.RelativeError(m.PredictMatrix(xs), ds.F),
+		RelError: rel,
 	}
-	fm.buildKeep(len(selected))
+	fm.buildKeep(q)
 	return fm, nil
 }
 
 // BuildPredictorWithFallbacks runs Steps 6-8 plus the fault-tolerance tier:
 // the primary Eq. 17 refit and a FallbackSet at the given failure budget,
-// ready to serialize into the artifact's `fallbacks` section.
+// ready to serialize into the artifact's `fallbacks` section. The primary
+// model and every submodel come from one factorization of the design (see
+// ols.Factored.Without).
 func BuildPredictorWithFallbacks(ds *Dataset, selected []int, budget int) (*Predictor, error) {
-	p, err := BuildPredictor(ds, selected)
+	fa, err := factorSelected(ds, selected)
 	if err != nil {
 		return nil, err
 	}
-	fb, err := FitFallbacks(ds, selected, budget)
+	p, err := predictorFrom(fa, selected)
+	if err != nil {
+		return nil, err
+	}
+	fb, err := fitFallbacks(fa, ds, selected, budget)
 	if err != nil {
 		return nil, err
 	}

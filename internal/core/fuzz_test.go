@@ -2,15 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
 // FuzzLoadPredictor hammers the voltsense-predictor/v1 loader with mutated
-// artifacts — legacy (no fallbacks), fallback-carrying, and malformed — and
-// checks the loader's contract: it never panics, and anything it accepts is
-// internally consistent enough to predict and to round-trip through Save.
+// artifacts — legacy (no fallbacks), fallback-carrying, indented, trailed by
+// extra bytes, and malformed — and checks the loader's contract: it never
+// panics, and anything it accepts is internally consistent enough to
+// predict and to round-trip through Save.
 func FuzzLoadPredictor(f *testing.F) {
 	// Seed 1: a real legacy artifact (no fallbacks section).
 	rng := rand.New(rand.NewSource(11))
@@ -35,6 +37,17 @@ func FuzzLoadPredictor(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+
+	// Seed 3: the same artifact in the indented layout Save wrote before
+	// artifacts became single-line, which must keep loading.
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, buf.Bytes(), "", "  "); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(indented.Bytes())
+
+	// Seed 4: a valid artifact with bytes after it, which must be rejected.
+	f.Add(append(bytes.Clone(buf.Bytes()), `{"format":"garbage"} trailing junk`...))
 
 	// Malformed seeds steering the fuzzer at validation edges.
 	for _, s := range []string{
@@ -62,7 +75,11 @@ func FuzzLoadPredictor(f *testing.F) {
 		if err != nil {
 			return // rejection is always acceptable; panics are not
 		}
-		// Accepted artifacts must satisfy the loader's documented invariants.
+		// Accepted artifacts must be exactly one JSON value, with nothing
+		// after it but whitespace, and satisfy the loader's invariants.
+		if !json.Valid(data) {
+			t.Fatalf("accepted input that is not exactly one JSON value: %q", data)
+		}
 		q := p.Model.NumInputs()
 		k := p.Model.NumOutputs()
 		if q == 0 || k == 0 || len(p.Selected) != q {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -74,8 +75,8 @@ func marshalAlpha(a *mat.Matrix) [][]float64 {
 	return out
 }
 
-// Save writes the predictor as JSON, including the fallbacks section when
-// the predictor carries one.
+// Save writes the predictor as one line of compact JSON, including the
+// fallbacks section when the predictor carries one.
 func (p *Predictor) Save(w io.Writer) error {
 	pj := predictorJSON{
 		Format:   PredictorFormat,
@@ -112,10 +113,23 @@ func (p *Predictor) Save(w io.Writer) error {
 			ResidStd:  p.Lineage.ResidStd,
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(pj); err != nil {
+	if err := json.NewEncoder(w).Encode(pj); err != nil {
 		return fmt.Errorf("core: saving predictor: %w", err)
+	}
+	return nil
+}
+
+// DecodeArtifact decodes one JSON artifact from r into v and rejects
+// anything but whitespace after the top-level value, so an artifact with
+// appended bytes fails to load instead of loading its first value. Every
+// artifact loader (predictor, prior, delta) decodes through it.
+func DecodeArtifact(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the top-level JSON value")
 	}
 	return nil
 }
@@ -159,10 +173,11 @@ func checkFinite(c []float64, k int, what string) error {
 // coefficient: a corrupt artifact must fail here, at load time, rather than
 // double-count a reading or poison every runtime prediction with NaN/Inf.
 // The optional fallbacks section, when present, is validated just as
-// strictly; artifacts without one load with Fallbacks nil.
+// strictly; artifacts without one load with Fallbacks nil. Anything after
+// the artifact's JSON value but whitespace is rejected.
 func LoadPredictor(r io.Reader) (*Predictor, error) {
 	var pj predictorJSON
-	if err := json.NewDecoder(r).Decode(&pj); err != nil {
+	if err := DecodeArtifact(r, &pj); err != nil {
 		return nil, fmt.Errorf("core: loading predictor: %w", err)
 	}
 	if pj.Format != PredictorFormat {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -152,5 +154,38 @@ func TestLoadPredictorRejectsBadLineage(t *testing.T) {
 		if _, err := LoadPredictor(in); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+}
+
+// Artifacts are one line of compact JSON; a loader must reject anything
+// after the artifact but whitespace, and accept the indented legacy layout.
+func TestLoadPredictorRejectsTrailingBytes(t *testing.T) {
+	_, pred := fallbackFixture(t, 1)
+	var buf bytes.Buffer
+	if err := pred.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	art := buf.String()
+	if strings.Count(art, "\n") != 1 || !strings.HasSuffix(art, "}\n") {
+		t.Fatalf("saved artifact is not one line of JSON:\n%s", art)
+	}
+	for _, tail := range []string{`{"format":"garbage"} trailing junk`, `x`, `}`, `[]`, `null`} {
+		if _, err := LoadPredictor(strings.NewReader(art + tail)); err == nil {
+			t.Errorf("artifact followed by %q accepted", tail)
+		}
+	}
+	if _, err := LoadPredictor(strings.NewReader(art + " \n\t\r\n")); err != nil {
+		t.Errorf("artifact followed by whitespace rejected: %v", err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, buf.Bytes(), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadPredictor(&indented)
+	if err != nil {
+		t.Fatalf("indented artifact rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got.Model, pred.Model) {
+		t.Fatal("indented artifact loaded a different model")
 	}
 }

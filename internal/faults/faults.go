@@ -18,7 +18,7 @@
 //
 // The fallback models themselves are ordinary Eq. 17 OLS refits on the
 // surviving sensor subset, fitted at placement time (see
-// core.FitFallbacks); this package only detects and routes.
+// core.BuildPredictorWithFallbacks); this package only detects and routes.
 package faults
 
 import (

@@ -100,6 +100,40 @@ func TestQRSolveMatrixMultiRHS(t *testing.T) {
 	}
 }
 
+// The OLS fit path splits SolveMatrix into QTMul and SolveR so it can keep
+// the rotated right-hand side; the composition must be SolveMatrix exactly.
+func TestFitPathSolveMatrixIsSolveRQTMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	a := randMatrix(rng, 40, 6)
+	b := randMatrix(rng, 40, 9)
+	f := FactorQR(a)
+	want, err := f.SolveMatrix(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.SolveR(f.QTMul(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range want.Data() {
+		if got.Data()[i] != v {
+			t.Fatalf("SolveR(QTMul(b))[%d] = %v, SolveMatrix gives %v", i, got.Data()[i], v)
+		}
+	}
+	// R is upper triangular with RᵀR = AᵀA (Q orthogonal).
+	r := f.R()
+	for i := 0; i < r.Rows(); i++ {
+		for j := 0; j < i; j++ {
+			if r.At(i, j) != 0 {
+				t.Fatalf("R[%d][%d] = %v below the diagonal", i, j, r.At(i, j))
+			}
+		}
+	}
+	if !Equalish(Mul(r.T(), r), Mul(a.T(), a), 1e-10) {
+		t.Fatal("RᵀR differs from AᵀA")
+	}
+}
+
 func TestQRSingular(t *testing.T) {
 	a := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}}) // rank 1
 	_, err := FactorQR(a).Solve([]float64{1, 2, 3})

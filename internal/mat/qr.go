@@ -129,16 +129,24 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 // returning the n-by-k solution matrix for an m-by-k right-hand side. All
 // columns share one pass over the Householder reflectors, which is much
 // faster than k separate Solve calls for the wide right-hand sides the OLS
-// refit produces.
+// refit produces. It is SolveR(QTMul(b)).
 func (f *QR) SolveMatrix(b *Matrix) (*Matrix, error) {
+	return f.SolveR(f.QTMul(b))
+}
+
+// QTMul returns Qᵀ·B for an m-by-k B, applying every reflector to all
+// columns at once. B is not modified. The first n rows of the result are
+// the right-hand side SolveR back-solves; the last m-n rows are the
+// least-squares residual in the rotated basis, so their squared norm is the
+// residual sum of squares.
+func (f *QR) QTMul(b *Matrix) *Matrix {
 	m, n := f.qr.rows, f.qr.cols
 	if b.rows != m {
-		panic(fmt.Sprintf("mat: QR.SolveMatrix rhs rows %d, want %d", b.rows, m))
+		panic(fmt.Sprintf("mat: QR.QTMul rhs rows %d, want %d", b.rows, m))
 	}
 	k := b.cols
 	w := b.Clone()
 	sums := make([]float64, k)
-	// Apply Qᵀ to every column at once.
 	for r := 0; r < n; r++ {
 		tau := f.tau[r]
 		if tau == 0 {
@@ -175,8 +183,18 @@ func (f *QR) SolveMatrix(b *Matrix) (*Matrix, error) {
 			}
 		}
 	}
-	// Backsolve R X = w[:n][:] for all columns, with the same relative
-	// singularity test as Solve.
+	return w
+}
+
+// SolveR back-solves R X = C for the n-by-k solution, reading the first n
+// rows of C (which may have more, as QTMul's output does). It returns
+// ErrSingular with the same relative diagonal test as Solve.
+func (f *QR) SolveR(c *Matrix) (*Matrix, error) {
+	n := f.qr.cols
+	if c.rows < n {
+		panic(fmt.Sprintf("mat: QR.SolveR rhs rows %d, want at least %d", c.rows, n))
+	}
+	k := c.cols
 	maxDiag := 0.0
 	for i := 0; i < n; i++ {
 		if a := math.Abs(f.qr.data[i*n+i]); a > maxDiag {
@@ -190,13 +208,13 @@ func (f *QR) SolveMatrix(b *Matrix) (*Matrix, error) {
 			return nil, ErrSingular
 		}
 		oi := out.data[i*k : (i+1)*k]
-		copy(oi, w.data[i*k:(i+1)*k])
-		for c := i + 1; c < n; c++ {
-			ric := f.qr.data[i*n+c]
+		copy(oi, c.data[i*k:(i+1)*k])
+		for col := i + 1; col < n; col++ {
+			ric := f.qr.data[i*n+col]
 			if ric == 0 {
 				continue
 			}
-			oc := out.data[c*k : (c+1)*k]
+			oc := out.data[col*k : (col+1)*k]
 			for j := range oi {
 				oi[j] -= ric * oc[j]
 			}
@@ -206,6 +224,16 @@ func (f *QR) SolveMatrix(b *Matrix) (*Matrix, error) {
 		}
 	}
 	return out, nil
+}
+
+// R returns a copy of the n-by-n upper-triangular factor.
+func (f *QR) R() *Matrix {
+	n := f.qr.cols
+	r := Zeros(n, n)
+	for i := 0; i < n; i++ {
+		copy(r.data[i*n+i:(i+1)*n], f.qr.data[i*n+i:(i+1)*n])
+	}
+	return r
 }
 
 // RCond returns a cheap condition estimate of R: |r_min| / |r_max| over the

@@ -11,6 +11,7 @@
 package ols
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -27,8 +28,35 @@ type Model struct {
 // samples) and f (K-by-N block-voltage samples). Centering eliminates the
 // intercept from the solve; the QR factorization of the centered design
 // handles the rest. Fit returns an error when the design is rank-deficient
-// (e.g. duplicated sensors).
+// (e.g. duplicated sensors). It is Factor(x, f) followed by Model.
 func Fit(x, f *mat.Matrix) (*Model, error) {
+	fa, err := Factor(x, f)
+	if err != nil {
+		return nil, err
+	}
+	return fa.Model()
+}
+
+// Factored is Eq. 17's centered design factored once, A = Q·R, with the
+// right-hand side already rotated: enough to solve the full model and,
+// through R alone, the model on any subset of the Q sensors. Because Qᵀ is
+// orthogonal, ‖Fc − A[:,kept]·α‖² = ‖C − R[:,kept]·α‖² + RSS, where C is the
+// top Q rows of Qᵀ·Fc and RSS the squared norm of the rest, so a submodel is
+// a Q-row least-squares problem instead of an N-row one.
+type Factored struct {
+	qr    *mat.QR
+	r     *mat.Matrix // Q-by-Q upper-triangular factor
+	c     *mat.Matrix // Q-by-K: top Q rows of Qᵀ·Fc
+	rss   float64     // ‖(Qᵀ·Fc)[Q:]‖², the full model's residual
+	fNorm float64     // ‖F‖_F of the raw outputs
+	xMean []float64
+	fMean []float64
+}
+
+// Factor centers x (Q-by-N) and f (K-by-N), factors the N-by-Q design and
+// rotates the N-by-K right-hand side. It fails only on too few samples; a
+// rank-deficient design surfaces as ErrSingular from Model or Without.
+func Factor(x, f *mat.Matrix) (*Factored, error) {
 	if x.Cols() != f.Cols() {
 		panic(fmt.Sprintf("ols: x has %d samples, f has %d", x.Cols(), f.Cols()))
 	}
@@ -61,16 +89,78 @@ func Fit(x, f *mat.Matrix) (*Model, error) {
 			rd[j*k+i] = v - mu
 		}
 	}
-	sol, err := mat.FactorQR(design).SolveMatrix(rhs) // Q-by-K
+	qr := mat.FactorQR(design)
+	w := qr.QTMul(rhs).Data() // N-by-K
+	c := mat.Zeros(q, k)
+	copy(c.Data(), w[:q*k])
+	rss := 0.0
+	for _, v := range w[q*k:] {
+		rss += v * v
+	}
+	return &Factored{
+		qr: qr, r: qr.R(), c: c, rss: rss, fNorm: f.FrobeniusNorm(),
+		xMean: xMean, fMean: fMean,
+	}, nil
+}
+
+// Model solves the full Eq. 17 model: the same operations, in the same
+// order, as a direct QR solve of the design.
+func (fa *Factored) Model() (*Model, error) {
+	sol, err := fa.qr.SolveR(fa.c) // Q-by-K
 	if err != nil {
 		return nil, fmt.Errorf("ols: rank-deficient design: %w", err)
 	}
-	alpha := sol.T() // K-by-Q
-	c := make([]float64, k)
-	for i := 0; i < k; i++ {
-		c[i] = fMean[i] - mat.Dot(alpha.Row(i), xMean)
+	return fa.model(sol, fa.xMean), nil
+}
+
+// Without solves Eq. 17 on the sensors minus the excluded positions
+// (ascending, into 0..Q-1) as min‖R[:,kept]·α − C‖: a Q-by-(Q−e) QR on a
+// Q-by-K right-hand side. It returns the submodel and its training relative
+// error ‖pred − F‖_F / ‖F‖_F, which the rotation gives without predicting.
+func (fa *Factored) Without(excluded []int) (*Model, float64, error) {
+	q := fa.r.Rows()
+	kept := make([]int, 0, q)
+	ex := 0
+	for i := 0; i < q; i++ {
+		if ex < len(excluded) && excluded[ex] == i {
+			ex++
+			continue
+		}
+		kept = append(kept, i)
 	}
-	return &Model{Alpha: alpha, C: c}, nil
+	if len(kept) == 0 {
+		return nil, 0, errors.New("ols: submodel would exclude every sensor")
+	}
+	sub := mat.FactorQR(fa.r.SelectCols(kept))
+	w := sub.QTMul(fa.c) // Q-by-K
+	sol, err := sub.SolveR(w)
+	if err != nil {
+		return nil, 0, fmt.Errorf("ols: rank-deficient design: %w", err)
+	}
+	rss := fa.rss
+	for _, v := range w.Data()[len(kept)*w.Cols():] {
+		rss += v * v
+	}
+	xMean := make([]float64, len(kept))
+	for i, p := range kept {
+		xMean[i] = fa.xMean[p]
+	}
+	rel := math.Inf(1)
+	if fa.fNorm != 0 {
+		rel = math.Sqrt(rss) / fa.fNorm
+	}
+	return fa.model(sol, xMean), rel, nil
+}
+
+// model turns a solved Q-by-K coefficient block into a Model whose
+// intercepts restore the centered-out means.
+func (fa *Factored) model(sol *mat.Matrix, xMean []float64) *Model {
+	alpha := sol.T() // K-by-Q
+	c := make([]float64, len(fa.fMean))
+	for i := range c {
+		c[i] = fa.fMean[i] - mat.Dot(alpha.Row(i), xMean)
+	}
+	return &Model{Alpha: alpha, C: c}
 }
 
 // NumInputs returns Q.

@@ -1,8 +1,10 @@
 package ols
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -153,6 +155,124 @@ func TestFitErrorsOnDuplicateSensor(t *testing.T) {
 	fm := randn(rng, 1, 50)
 	if _, err := Fit(x, fm); err == nil {
 		t.Fatal("expected rank-deficiency error for duplicated sensor rows")
+	}
+}
+
+// relDiff returns ‖a − b‖_F / ‖b‖_F.
+func relDiff(a, b *mat.Matrix) float64 {
+	return mat.FrobeniusDistance(a, b) / b.FrobeniusNorm()
+}
+
+// fitDirect is the reference a submodel must match: Fit on the kept sensor
+// rows, scored by predicting the training set.
+func fitDirect(x, f *mat.Matrix, excluded []int) (*Model, float64, error) {
+	var kept []int
+	for i := 0; i < x.Rows(); i++ {
+		if !slices.Contains(excluded, i) {
+			kept = append(kept, i)
+		}
+	}
+	xs := x.SelectRows(kept)
+	m, err := Fit(xs, f)
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, RelativeError(m.PredictMatrix(xs), f), nil
+}
+
+// Property: a submodel solved through R equals a fresh Fit on the kept
+// sensors — coefficients, intercepts and training error — on correlated,
+// non-square designs, for any excluded subset including none.
+func TestFitWithoutMatchesFreshFit(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		q := 2 + rng.Intn(6)
+		k := 1 + rng.Intn(8)
+		n := q + 5 + rng.Intn(120)
+		x := randn(rng, q, n)
+		shared := randn(rng, 1, n)
+		for i := 0; i < q; i++ {
+			for j := 0; j < n; j++ {
+				x.Set(i, j, 1+0.05*shared.At(0, j)+0.02*x.At(i, j))
+			}
+		}
+		f := mat.Mul(randn(rng, k, q), x)
+		noise := randn(rng, k, n)
+		for i := 0; i < k; i++ {
+			for j := 0; j < n; j++ {
+				f.Set(i, j, 0.9+f.At(i, j)+0.002*noise.At(i, j))
+			}
+		}
+		fa, err := Factor(x, f)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		excluded := rng.Perm(q)[:rng.Intn(q)]
+		slices.Sort(excluded)
+		got, rel, err := fa.Without(excluded)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		want, wantRel, err := fitDirect(x, f, excluded)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		wc, gc := mat.New(1, k, want.C), mat.New(1, k, got.C)
+		if d := relDiff(got.Alpha, want.Alpha); d > 1e-12 {
+			t.Logf("seed %d excluded %v: alpha off by %v relative", seed, excluded, d)
+			return false
+		}
+		if d := relDiff(gc, wc); d > 1e-12 {
+			t.Logf("seed %d excluded %v: intercepts off by %v relative", seed, excluded, d)
+			return false
+		}
+		if d := math.Abs(rel-wantRel) / wantRel; d > 1e-12 {
+			t.Logf("seed %d excluded %v: rel_error %v vs %v", seed, excluded, rel, wantRel)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A duplicated sensor leaves the factorization intact but makes every
+// model keeping both copies singular, exactly like a fresh Fit.
+func TestFitWithoutDuplicateSensorIsSingular(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	x := randn(rng, 4, 80)
+	copy(x.Row(3), x.Row(1))
+	f := randn(rng, 3, 80)
+	fa, err := Factor(x, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fa.Model(); !errors.Is(err, mat.ErrSingular) {
+		t.Fatalf("full model with a duplicated sensor: err = %v, want ErrSingular", err)
+	}
+	if _, _, err := fa.Without([]int{0}); !errors.Is(err, mat.ErrSingular) {
+		t.Fatalf("submodel keeping both copies: err = %v, want ErrSingular", err)
+	}
+	if _, _, err := fitDirect(x, f, []int{0}); !errors.Is(err, mat.ErrSingular) {
+		t.Fatalf("fresh fit keeping both copies: err = %v, want ErrSingular", err)
+	}
+	got, rel, err := fa.Without([]int{3})
+	if err != nil {
+		t.Fatalf("submodel dropping one copy: %v", err)
+	}
+	want, wantRel, err := fitDirect(x, f, []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := relDiff(got.Alpha, want.Alpha); d > 1e-12 || math.Abs(rel-wantRel) > 1e-12*wantRel {
+		t.Fatalf("submodel dropping one copy: alpha off by %v, rel_error %v vs %v", d, rel, wantRel)
+	}
+	if _, _, err := fa.Without([]int{0, 1, 2, 3}); err == nil {
+		t.Fatal("submodel excluding every sensor accepted")
 	}
 }
 

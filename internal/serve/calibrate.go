@@ -21,14 +21,13 @@ import (
 // (written by /v1/calibrate) resolve against the pinned shared prior into a
 // full predictor at load time. A delta in a store with no configured prior
 // is a deployment error, reported per tenant rather than crashing the fleet.
+// The artifact is parsed in full once, by the loader its format tag names.
 func (s *Server) loadArtifact(data []byte) (*core.Predictor, error) {
-	var head struct {
-		Format string `json:"format"`
+	format, err := artifactFormat(data)
+	if err != nil {
+		return nil, err
 	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		return nil, fmt.Errorf("serve: artifact: %w", err)
-	}
-	if head.Format != transfer.DeltaFormat {
+	if format != transfer.DeltaFormat {
 		return core.LoadPredictor(bytes.NewReader(data))
 	}
 	if s.cfg.Prior == nil {
@@ -44,6 +43,32 @@ func (s *Server) loadArtifact(data []byte) (*core.Predictor, error) {
 	}
 	s.metrics.TransferDeltaLoads.Inc()
 	return pred, nil
+}
+
+// artifactFormat returns an artifact's format tag. Every artifact voltsense
+// writes leads with it, so it is read from the first tokens; only when
+// "format" is not the first key is the whole artifact decoded for it. The
+// loader it picks checks the tag again on its full decode, which keeps the
+// last of duplicate keys, so an artifact never loads under a format its
+// full decode does not carry.
+func artifactFormat(data []byte) (string, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err == nil && tok == json.Delim('{') {
+		if key, err := dec.Token(); err == nil && key == "format" {
+			if v, err := dec.Token(); err == nil {
+				if format, ok := v.(string); ok {
+					return format, nil
+				}
+			}
+		}
+	}
+	var head struct {
+		Format string `json:"format"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return "", fmt.Errorf("serve: artifact: %w", err)
+	}
+	return head.Format, nil
 }
 
 // calibrateRequest is the /v1/calibrate input: labeled samples for one

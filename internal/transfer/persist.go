@@ -31,7 +31,7 @@ type priorJSON struct {
 	Goldens  int         `json:"goldens"`
 }
 
-// Save writes the prior as JSON.
+// Save writes the prior as one line of compact JSON.
 func (p *SharedPrior) Save(w io.Writer) error {
 	if err := p.validate(); err != nil {
 		return err
@@ -48,9 +48,7 @@ func (p *SharedPrior) Save(w io.Writer) error {
 		copy(row, p.Mean.Row(i))
 		pj.Mean = append(pj.Mean, row)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(pj); err != nil {
+	if err := json.NewEncoder(w).Encode(pj); err != nil {
 		return fmt.Errorf("transfer: saving prior: %w", err)
 	}
 	return nil
@@ -58,10 +56,10 @@ func (p *SharedPrior) Save(w io.Writer) error {
 
 // LoadPrior reads a prior saved by Save, with the same load-time strictness
 // as core.LoadPredictor: a corrupt prior must fail here rather than poison
-// every alignment derived from it.
+// every alignment derived from it. Trailing bytes are rejected too.
 func LoadPrior(r io.Reader) (*SharedPrior, error) {
 	var pj priorJSON
-	if err := json.NewDecoder(r).Decode(&pj); err != nil {
+	if err := core.DecodeArtifact(r, &pj); err != nil {
 		return nil, fmt.Errorf("transfer: loading prior: %w", err)
 	}
 	if pj.Format != PriorFormat {
@@ -150,8 +148,8 @@ type deltaLineageJSON struct {
 	ResidStd  float64 `json:"resid_std,omitempty"`
 }
 
-// SaveDelta writes a per-chip delta artifact: the sparse coefficient update
-// plus the aligned predictor's lineage.
+// SaveDelta writes a per-chip delta artifact as one line of compact JSON:
+// the sparse coefficient update plus the aligned predictor's lineage.
 func SaveDelta(w io.Writer, d *Delta, lin *core.Lineage) error {
 	dj := deltaJSON{
 		Format:           DeltaFormat,
@@ -174,9 +172,7 @@ func SaveDelta(w io.Writer, d *Delta, lin *core.Lineage) error {
 			ResidStd:  lin.ResidStd,
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(dj); err != nil {
+	if err := json.NewEncoder(w).Encode(dj); err != nil {
 		return fmt.Errorf("transfer: saving delta: %w", err)
 	}
 	return nil
@@ -185,9 +181,10 @@ func SaveDelta(w io.Writer, d *Delta, lin *core.Lineage) error {
 // LoadDelta reads a delta artifact saved by SaveDelta. Structural validation
 // happens here; bounds against the prior's shape (and the fingerprint match)
 // happen in Delta.Resolve, which is where a prior first enters the picture.
+// Anything after the artifact's JSON value but whitespace is rejected.
 func LoadDelta(r io.Reader) (*Delta, *core.Lineage, error) {
 	var dj deltaJSON
-	if err := json.NewDecoder(r).Decode(&dj); err != nil {
+	if err := core.DecodeArtifact(r, &dj); err != nil {
 		return nil, nil, fmt.Errorf("transfer: loading delta: %w", err)
 	}
 	if dj.Format != DeltaFormat {

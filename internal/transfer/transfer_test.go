@@ -412,3 +412,67 @@ func TestWarmStartContinuesAlignment(t *testing.T) {
 		}
 	}
 }
+
+// trailingTails are bytes a loader must refuse after a valid artifact.
+var trailingTails = []string{`{"format":"garbage"} trailing junk`, `x`, `}`, `[]`}
+
+// checkOneLine fails unless art is one line of compact JSON.
+func checkOneLine(t *testing.T, art string) {
+	t.Helper()
+	if strings.Count(art, "\n") != 1 || !strings.HasSuffix(art, "}\n") {
+		t.Fatalf("saved artifact is not one line of JSON:\n%s", art)
+	}
+}
+
+func TestLoadPriorRejectsTrailingBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	golden := makeChip(rng, 3, 4)
+	prior, err := FitPrior([]*core.Predictor{golden.predictor([]int{1, 4, 9}, nil)}, PriorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := prior.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	art := buf.String()
+	checkOneLine(t, art)
+	for _, tail := range trailingTails {
+		if _, err := LoadPrior(strings.NewReader(art + tail)); err == nil {
+			t.Errorf("prior followed by %q accepted", tail)
+		}
+	}
+	if _, err := LoadPrior(strings.NewReader(art + " \n")); err != nil {
+		t.Errorf("prior followed by whitespace rejected: %v", err)
+	}
+}
+
+func TestLoadDeltaRejectsTrailingBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	q, k := 3, 4
+	sel := []int{1, 4, 9}
+	golden := makeChip(rng, q, k)
+	prior, err := FitPrior([]*core.Predictor{golden.predictor(sel, nil)}, PriorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, f := golden.perturb(rng, 0.15).sample(rng, 24, 1e-3)
+	al, err := AlignChip(prior, x, f, AlignConfig{DeltaTol: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveDelta(&buf, al.Delta, al.Predictor.Lineage); err != nil {
+		t.Fatal(err)
+	}
+	art := buf.String()
+	checkOneLine(t, art)
+	for _, tail := range trailingTails {
+		if _, _, err := LoadDelta(strings.NewReader(art + tail)); err == nil {
+			t.Errorf("delta followed by %q accepted", tail)
+		}
+	}
+	if _, _, err := LoadDelta(strings.NewReader(art + "\n\n")); err != nil {
+		t.Errorf("delta followed by whitespace rejected: %v", err)
+	}
+}
