@@ -226,8 +226,8 @@ func compareReports(oldPath, newPath string, tol float64) error {
 	return nil
 }
 
-// trajectoryReport reads every BENCH_*.json in dir in lexical (= PR) order
-// and prints, per benchmark and per speedup pair, the trail of values across
+// trajectoryReport reads every BENCH_*.json in dir in PR-number order
+// (see prNumber) and prints, per benchmark and per speedup pair, the trail of values across
 // the PRs that recorded it. Benchmarks appear in the order the newest report
 // lists them; ones absent from the newest report (retired benchmarks) are
 // skipped — the trajectory is about where the suite is now and how it got
@@ -240,7 +240,9 @@ func trajectoryReport(dir string) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("no BENCH_*.json files under %s", dir)
 	}
-	sort.Strings(paths)
+	// Glob returns lexical order, which puts PR10 before PR2; the stable
+	// sort keeps it only among names without a PR number.
+	sort.SliceStable(paths, func(i, j int) bool { return prNumber(paths[i]) < prNumber(paths[j]) })
 	type entry struct {
 		label string
 		rep   *report
@@ -326,6 +328,17 @@ func trajectoryReport(dir string) error {
 		}
 	}
 	return nil
+}
+
+// prNumber returns n for a BENCH_PR<n>.json path, or -1 for any other name
+// (such as a copied BENCH_PR10.baseline.json), which sorts it before every
+// numbered report.
+func prNumber(path string) int {
+	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_PR"), ".json"))
+	if err != nil {
+		return -1
+	}
+	return n
 }
 
 func max2(a, b float64) float64 {

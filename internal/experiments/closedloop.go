@@ -110,7 +110,7 @@ func (p *Pipeline) ClosedLoop(benchIdx, q, steps int) (*ClosedLoopResult, error)
 // the previous step's voltages. onStep, when non-nil, observes voltages.
 func (p *Pipeline) countEmergencies(currents [][]float64, total int,
 	control func(t int, prevV []float64, cur []float64), onStep func(t int, v []float64)) (int, error) {
-	sim, err := pdn.NewSimulatorBackend(p.Grid, p.Cfg.DT, p.Cfg.Backend)
+	sim, err := pdn.NewSimulatorOpts(p.Grid, p.Cfg.DT, p.simOpts())
 	if err != nil {
 		return 0, err
 	}

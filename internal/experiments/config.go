@@ -97,11 +97,11 @@ type Config struct {
 	TraceSource TraceSource // workload generator; default TraceMarkov
 	// Backend selects the transient linear-solver backend for every
 	// simulator the pipeline builds (pdn.Auto picks banded Cholesky for
-	// narrow meshes and IC-preconditioned CG for wide ones; see
-	// pdn.NewSimulatorBackend). Leave zero for Auto.
+	// narrow meshes and MIC(0)-preconditioned CG for wide ones; see
+	// pdn.NewSimulatorOpts). Leave zero for Auto.
 	Backend pdn.Backend
-	// Precond selects the sparse-backend preconditioner (auto/ic/jacobi/
-	// cheby). Ignored by the banded backend. Leave zero for Auto (MIC(0)).
+	// Deprecated: ignored; the sparse backend always uses MIC(0). Kept only
+	// because e2ebench sets it.
 	Precond sparse.Precond
 	// SparseWorkers bounds the worker shares each sparse solver's
 	// row-partitioned kernels use (0 = the mat pool default, 1 = serial).

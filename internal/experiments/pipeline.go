@@ -61,7 +61,7 @@ type Pipeline struct {
 	pathState  map[int]*corePathState // per-core warm-started path solvers
 
 	// simPool recycles transient simulators across benchmark runs: the
-	// banded Cholesky factorization in NewSimulator dominates short runs,
+	// banded Cholesky factorization in NewSimulatorOpts dominates short runs,
 	// and Run re-settles all state, so reuse is exact.
 	simPool sync.Pool
 
@@ -192,7 +192,6 @@ func (p *Pipeline) workers() int {
 func (p *Pipeline) simOpts() pdn.SimOptions {
 	return pdn.SimOptions{
 		Backend: p.Cfg.Backend,
-		Precond: p.Cfg.Precond,
 		Workers: p.Cfg.SparseWorkers,
 	}
 }

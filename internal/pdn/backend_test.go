@@ -10,48 +10,63 @@ import (
 )
 
 // TestSparseMatchesBandedTransient is the golden equivalence test: on a
-// bandwidth-friendly mesh where both backends run, the sparse IC-PCG path
-// must track the banded Cholesky within 1e-9 at every node of every step.
+// bandwidth-friendly mesh where both backends run, the sparse MIC-PCG path
+// must track the banded Cholesky within 1e-9 at every node of every step,
+// for each of two load sequences that keep moving the warm start.
 func TestSparseMatchesBandedTransient(t *testing.T) {
 	g := smallGrid()
-	sb, err := NewSimulatorBackend(g, testDT, Banded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := NewSimulatorBackend(g, testDT, Sparse)
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := g.NumNodes()
-	rng := rand.New(rand.NewSource(42))
-	loads := make([]float64, n)
-	const steps = 200
-	worst := 0.0
-	for step := 0; step < steps; step++ {
-		// Noisy block-style loading with a mid-run level shift, to move the
-		// warm start around rather than settling into a fixed point.
+	cases := map[string][][]float64{
+		"block-shift":  blockShiftLoads(g, 200, 42),
+		"node-varying": benchLoads(n, 1, 120, 29)[0],
+	}
+	for name, loads := range cases {
+		sb, err := NewSimulatorOpts(g, testDT, SimOptions{Backend: Banded})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := NewSimulatorOpts(g, testDT, SimOptions{Backend: Sparse})
+		if err != nil {
+			t.Fatal(err)
+		}
+		worst := 0.0
+		for _, ld := range loads {
+			vb := sb.Step(ld)
+			vs := sp.Step(ld)
+			for i := range vb {
+				if d := math.Abs(vb[i] - vs[i]); d > worst {
+					worst = d
+				}
+			}
+		}
+		if worst > 1e-9 {
+			t.Fatalf("%s: sparse and banded transients diverge: max |Δv| = %g > 1e-9", name, worst)
+		}
+		t.Logf("%s: max |Δv| over %d steps: %g", name, len(loads), worst)
+	}
+}
+
+// blockShiftLoads is noisy block-style loading with a mid-run level shift:
+// each block draws a fresh random current every step, five times larger in
+// the second half.
+func blockShiftLoads(g *grid.Grid, steps int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]float64, steps)
+	for step := range out {
 		level := 0.05
 		if step >= steps/2 {
 			level = 0.25
 		}
+		loads := make([]float64, g.NumNodes())
 		for _, nodes := range g.BlockNodes {
 			cur := level * rng.Float64()
 			for _, nd := range nodes {
 				loads[nd] = cur / float64(len(nodes))
 			}
 		}
-		vb := sb.Step(loads)
-		vs := sp.Step(loads)
-		for i := range vb {
-			if d := math.Abs(vb[i] - vs[i]); d > worst {
-				worst = d
-			}
-		}
+		out[step] = loads
 	}
-	if worst > 1e-9 {
-		t.Fatalf("sparse and banded transients diverge: max |Δv| = %g > 1e-9", worst)
-	}
-	t.Logf("max |Δv| over %d steps: %g", steps, worst)
+	return out
 }
 
 // TestBackendAutoSelection pins the Auto rule: narrow meshes stay on the
@@ -60,7 +75,7 @@ func TestBackendAutoSelection(t *testing.T) {
 	chip := floorplan.New(floorplan.DefaultConfig())
 
 	narrow := grid.DefaultConfig() // NX=78 ≤ sparseBandwidthLimit
-	s, err := NewSimulator(grid.Build(chip, narrow), testDT)
+	s, err := NewSimulatorOpts(grid.Build(chip, narrow), testDT, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +85,7 @@ func TestBackendAutoSelection(t *testing.T) {
 
 	wide := grid.DefaultConfig()
 	wide.NX, wide.NY = 300, 4 // bandwidth 300 > sparseBandwidthLimit
-	s, err = NewSimulator(grid.Build(chip, wide), testDT)
+	s, err = NewSimulatorOpts(grid.Build(chip, wide), testDT, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +99,7 @@ func TestBackendAutoSelection(t *testing.T) {
 // the independent DC solution.
 func TestSparseSettlesOntoStaticSolve(t *testing.T) {
 	g := smallGrid()
-	s, err := NewSimulatorBackend(g, testDT, Sparse)
+	s, err := NewSimulatorOpts(g, testDT, SimOptions{Backend: Sparse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +144,8 @@ func TestParseBackend(t *testing.T) {
 	}
 }
 
-func TestNewSimulatorBackendRejectsUnknown(t *testing.T) {
-	if _, err := NewSimulatorBackend(smallGrid(), testDT, Backend(99)); err == nil {
+func TestNewSimulatorOptsRejectsUnknownBackend(t *testing.T) {
+	if _, err := NewSimulatorOpts(smallGrid(), testDT, SimOptions{Backend: Backend(99)}); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
 }

@@ -106,7 +106,7 @@ func NewBatchSimulator(g *grid.Grid, dt float64, nrhs int, opts SimOptions) (*Ba
 		}
 		s.chol = chol
 	case Sparse:
-		sys, err := newSparseSystem(g, diag, opts.Precond)
+		sys, err := newSparseSystem(g, diag)
 		if err != nil {
 			return nil, err
 		}

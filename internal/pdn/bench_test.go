@@ -5,6 +5,8 @@ import (
 
 	"voltsense/internal/floorplan"
 	"voltsense/internal/grid"
+	"voltsense/internal/power"
+	"voltsense/internal/workload"
 )
 
 // fullGrid is the production mesh of the paper-scale experiments.
@@ -18,7 +20,7 @@ func BenchmarkNewSimulator(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewSimulator(g, 5e-10); err != nil {
+		if _, err := NewSimulatorOpts(g, 5e-10, SimOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -26,7 +28,7 @@ func BenchmarkNewSimulator(b *testing.B) {
 
 func BenchmarkStep(b *testing.B) {
 	g := fullGrid()
-	s, err := NewSimulator(g, 5e-10)
+	s, err := NewSimulatorOpts(g, 5e-10, SimOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func BenchmarkStaticSolve(b *testing.B) {
 // no allocation, ever.
 func TestStepZeroAllocs(t *testing.T) {
 	g := fullGrid()
-	s, err := NewSimulator(g, 5e-10)
+	s, err := NewSimulatorOpts(g, 5e-10, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestStepZeroAllocs(t *testing.T) {
 // backend: the warm-started IC-PCG step must also run allocation-free.
 func TestStepZeroAllocsSparse(t *testing.T) {
 	g := fullGrid()
-	s, err := NewSimulatorBackend(g, 5e-10, Sparse)
+	s, err := NewSimulatorOpts(g, 5e-10, SimOptions{Backend: Sparse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,25 +111,48 @@ func scaledGrid(nx, ny int) *grid.Grid {
 	return grid.Build(chip, cfg)
 }
 
-func benchStepBackend(b *testing.B, g *grid.Grid, backend Backend) {
-	s, err := NewSimulatorBackend(g, 5e-10, backend)
-	if err != nil {
-		b.Fatal(err)
-	}
-	loads := make([]float64, g.NumNodes())
-	for _, nodes := range g.BlockNodes {
-		for _, nd := range nodes {
-			loads[nd] = 0.2 / float64(len(nodes))
+// benchWorkloadSteps is the length of the workload trace the step
+// benchmarks cycle through.
+const benchWorkloadSteps = 120
+
+// workloadCurrents returns per-step block currents of the first synthetic
+// benchmark on g's chip through the default power model: the varying loads
+// the experiments pipeline steps the grid under.
+func workloadCurrents(g *grid.Grid) [][]float64 {
+	tr := workload.Generate(g.Chip, workload.Benchmarks()[0], benchWorkloadSteps, 0)
+	ct := power.DefaultModel(g.Chip).Currents(tr)
+	out := make([][]float64, benchWorkloadSteps)
+	for t := range out {
+		cur := make([]float64, len(ct.Currents))
+		for b := range cur {
+			cur[b] = ct.Currents[b][t]
 		}
+		out[t] = cur
 	}
-	if err := s.Settle(loads); err != nil { // steady-state stepping regime
+	return out
+}
+
+// benchWorkloadStep settles s at the first step's currents, then times Step
+// under the workload's block currents, cycling through the trace.
+func benchWorkloadStep(b *testing.B, s *Simulator) {
+	cur := workloadCurrents(s.g)
+	loader := NewBlockLoader(s.g)
+	if err := s.Settle(loader.Loads(cur[0])); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Step(loads)
+		s.Step(loader.Loads(cur[i%len(cur)]))
 	}
+}
+
+func benchStepBackend(b *testing.B, g *grid.Grid, backend Backend) {
+	s, err := NewSimulatorOpts(g, 5e-10, SimOptions{Backend: backend})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchWorkloadStep(b, s)
 }
 
 // BenchmarkStepBanded256 vs BenchmarkStepSparse256: the same 256×128 mesh
@@ -142,7 +167,7 @@ func benchCtorBackend(b *testing.B, g *grid.Grid, backend Backend) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewSimulatorBackend(g, 5e-10, backend); err != nil {
+		if _, err := NewSimulatorOpts(g, 5e-10, SimOptions{Backend: backend}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -172,20 +197,7 @@ func benchStepSparseWorkers(b *testing.B, g *grid.Grid, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	loads := make([]float64, g.NumNodes())
-	for _, nodes := range g.BlockNodes {
-		for _, nd := range nodes {
-			loads[nd] = 0.2 / float64(len(nodes))
-		}
-	}
-	if err := s.Settle(loads); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step(loads)
-	}
+	benchWorkloadStep(b, s)
 }
 
 // BenchmarkStepSparse1024Serial vs BenchmarkStepSparse1024Parallel: the
@@ -249,7 +261,7 @@ func BenchmarkStepLooped512(b *testing.B) {
 	loadCols, _ := batchBenchFixture(b, g)
 	sims := make([]*Simulator, stepBatchNRHS)
 	for c := range sims {
-		s, err := NewSimulatorBackend(g, 5e-10, Sparse)
+		s, err := NewSimulatorOpts(g, 5e-10, SimOptions{Backend: Sparse})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -15,17 +15,17 @@
 // conjugate-gradient path over the RCM-reordered CSR matrix, warm-started
 // from the previous step's voltages, which scales to 1024×1024+ meshes
 // where the banded factor's O(n·bw²) time and O(n·bw) memory are
-// prohibitive. The sparse path runs its kernels in parallel on the mat
-// worker pool with bitwise-deterministic results at any worker count;
-// SimOptions selects the preconditioner family (modified IC(0) with
-// level-scheduled sweeps by default, Chebyshev or Jacobi for fully parallel
-// applications) and bounds the workers. BatchSimulator steps many
-// independent transients on the same grid through one matrix traversal per
-// step. NewSimulator picks the backend automatically by bandwidth and
-// storage; use NewSimulatorBackend or NewSimulatorOpts to force a choice.
-// Pad inductors use the standard
-// backward-Euler companion model: an effective conductance 1/(R + L/h)
-// plus a history current source tracking the previous branch current.
+// prohibitive. The sparse path is preconditioned by modified IC(0) with
+// level-scheduled sweeps (plain IC(0) if the modified factor breaks down)
+// and runs its kernels in parallel on the mat worker pool with
+// bitwise-deterministic results at any worker count. BatchSimulator steps
+// many independent transients on the same grid through one matrix
+// traversal per step. NewSimulatorOpts picks the backend automatically by
+// bandwidth and storage unless SimOptions.Backend forces one, and
+// SimOptions.Workers bounds the sparse kernels. Pad inductors use the
+// standard backward-Euler companion model: an effective conductance
+// 1/(R + L/h) plus a history current source tracking the previous branch
+// current.
 package pdn
 
 import (
@@ -47,7 +47,7 @@ const (
 	// Banded is the dense banded Cholesky: one factorization, then two
 	// triangular sweeps per step.
 	Banded
-	// Sparse is IC(0)-preconditioned conjugate gradient on the CSR matrix,
+	// Sparse is MIC(0)-preconditioned conjugate gradient on the CSR matrix,
 	// warm-started from the previous step's voltages.
 	Sparse
 )
@@ -82,9 +82,8 @@ func ParseBackend(s string) (Backend, error) {
 type SimOptions struct {
 	// Backend forces a solver path; Auto resolves by bandwidth and storage.
 	Backend Backend
-	// Precond selects the sparse backend's preconditioner family
-	// (sparse.ParsePrecond names). Auto uses modified IC(0) with a plain
-	// IC(0) fallback — the strongest option. Ignored by the banded backend.
+	// Deprecated: ignored; the sparse backend always uses MIC(0). Kept only
+	// because e2ebench sets it.
 	Precond sparse.Precond
 	// Workers bounds the sparse backend's parallel kernel shares; 0 tracks
 	// the mat pool default. Results are bitwise identical for any setting.
@@ -110,51 +109,25 @@ func (b bandedSolver) solveInto(dst, rhs []float64) { b.chol.SolveInto(dst, rhs)
 type sparseSystem struct {
 	a    *sparse.CSR
 	perm []int // perm[newI] = oldI
-	pre  sparse.Preconditioner
+	pre  *sparse.IC
 }
 
 // newSparseSystem assembles the step matrix, applies reverse Cuthill–McKee
 // (tight bands mean cache-local SpMV gathers and short IC level schedules,
-// whatever order the mesh was numbered in), and builds the preconditioner.
-func newSparseSystem(g *grid.Grid, diag []float64, precond sparse.Precond) (*sparseSystem, error) {
+// whatever order the mesh was numbered in), and factors the preconditioner:
+// modified IC keeps the preconditioned condition number O(h⁻¹) on refined
+// meshes, with plain IC(0) as the fallback on the rare breakdown.
+func newSparseSystem(g *grid.Grid, diag []float64) (*sparseSystem, error) {
 	a := assembleSystemCSR(g, diag)
 	perm := sparse.RCM(a)
 	pa := sparse.PermuteSym(a, perm)
-	pre, err := buildPrecond(pa, precond)
+	ic, err := sparse.NewICModified(pa, micOmega)
 	if err != nil {
-		return nil, err
-	}
-	return &sparseSystem{a: pa, perm: perm, pre: pre}, nil
-}
-
-// buildPrecond constructs the selected preconditioner family for the
-// (already permuted) SPD step matrix.
-func buildPrecond(a *sparse.CSR, p sparse.Precond) (sparse.Preconditioner, error) {
-	switch p {
-	case sparse.PrecondAuto, sparse.PrecondIC:
-		// Modified IC keeps the preconditioned condition number O(h⁻¹) on
-		// refined meshes; fall back to plain IC(0) on the rare breakdown.
-		ic, err := sparse.NewICModified(a, micOmega)
-		if err != nil {
-			if ic, err = sparse.NewIC(a); err != nil {
-				return nil, fmt.Errorf("pdn: system matrix not SPD: %w", err)
-			}
-		}
-		return ic, nil
-	case sparse.PrecondJacobi:
-		j, err := sparse.NewJacobi(a)
-		if err != nil {
+		if ic, err = sparse.NewIC(pa); err != nil {
 			return nil, fmt.Errorf("pdn: system matrix not SPD: %w", err)
 		}
-		return j, nil
-	case sparse.PrecondCheby:
-		c, err := sparse.NewCheby(a, 0)
-		if err != nil {
-			return nil, fmt.Errorf("pdn: system matrix not SPD: %w", err)
-		}
-		return c, nil
 	}
-	return nil, fmt.Errorf("pdn: unknown preconditioner %v", p)
+	return &sparseSystem{a: pa, perm: perm, pre: ic}, nil
 }
 
 // sparseSolver runs warm-started PCG on the RCM-permuted system: the warm
@@ -202,9 +175,10 @@ func (s *sparseSolver) solveInto(dst, rhs []float64) {
 // budget against the banded factor even after thousands of steps.
 const stepCGTol = 1e-13
 
-// micOmega is the relaxation of the modified-IC preconditioner: 1 would
-// preserve row sums exactly but risks breakdown, 0.95 is the standard
-// safe margin.
+// micOmega is the relaxation of the modified-IC preconditioner. ω = 1
+// preserves row sums exactly, which is what gives MIC its O(h⁻¹)
+// conditioning on mesh Laplacians; the breakdown risk that usually argues
+// for ω < 1 is covered by the plain IC(0) fallback in newSparseSystem.
 const micOmega = 1.0
 
 // sparseBandwidthLimit and sparseStorageLimit are the Auto thresholds:
@@ -254,19 +228,9 @@ type Simulator struct {
 	t      int
 }
 
-// NewSimulator assembles and factors the backward-Euler system for the grid
-// at time step dt (seconds), picking the solver backend automatically.
-func NewSimulator(g *grid.Grid, dt float64) (*Simulator, error) {
-	return NewSimulatorBackend(g, dt, Auto)
-}
-
-// NewSimulatorBackend is NewSimulator with an explicit solver backend.
-func NewSimulatorBackend(g *grid.Grid, dt float64, backend Backend) (*Simulator, error) {
-	return NewSimulatorOpts(g, dt, SimOptions{Backend: backend})
-}
-
-// NewSimulatorOpts is NewSimulator with full backend, preconditioner and
-// worker control.
+// NewSimulatorOpts assembles and factors the backward-Euler system for the
+// grid at time step dt (seconds). The zero SimOptions picks the solver
+// backend automatically and uses the pool's default worker count.
 func NewSimulatorOpts(g *grid.Grid, dt float64, opts SimOptions) (*Simulator, error) {
 	backend := opts.Backend
 	if dt <= 0 {
@@ -315,7 +279,7 @@ func NewSimulatorOpts(g *grid.Grid, dt float64, opts SimOptions) (*Simulator, er
 		}
 		s.solver = bandedSolver{chol: chol}
 	case Sparse:
-		sys, err := newSparseSystem(g, s.stepDiag(), opts.Precond)
+		sys, err := newSparseSystem(g, s.stepDiag())
 		if err != nil {
 			return nil, err
 		}
@@ -537,12 +501,9 @@ func StaticSolve(g *grid.Grid, loads []float64) ([]float64, error) {
 		diag[pad.Node] += gdc
 		b[pad.Node] += gdc * g.Cfg.VDD
 	}
-	a := assembleSystemCSR(g, diag)
-	opt := sparse.CGOptions{Tol: 1e-12}
-	if ic, err := sparse.NewIC(a); err == nil {
-		opt.Precond = ic // IC(0) always exists for this M-matrix; Jacobi fallback just in case
-	}
-	x, _, err := sparse.SolveCG(a, b, nil, opt)
+	// A nil Precond makes SolveCG factor plain IC(0), which always exists
+	// for this M-matrix.
+	x, _, err := sparse.SolveCG(assembleSystemCSR(g, diag), b, nil, sparse.CGOptions{Tol: 1e-12})
 	if err != nil {
 		return nil, fmt.Errorf("pdn: static solve: %w", err)
 	}

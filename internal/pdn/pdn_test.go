@@ -24,7 +24,7 @@ const testDT = 5e-10
 
 func TestQuiescentStaysAtVDD(t *testing.T) {
 	g := smallGrid()
-	s, err := NewSimulator(g, testDT)
+	s, err := NewSimulatorOpts(g, testDT, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestQuiescentStaysAtVDD(t *testing.T) {
 
 func TestConstantLoadSettlesToDC(t *testing.T) {
 	g := smallGrid()
-	s, err := NewSimulator(g, testDT)
+	s, err := NewSimulatorOpts(g, testDT, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestConstantLoadSettlesToDC(t *testing.T) {
 
 func TestDroopUnderLoadAndRecovery(t *testing.T) {
 	g := smallGrid()
-	s, err := NewSimulator(g, testDT)
+	s, err := NewSimulatorOpts(g, testDT, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestVoltagesBoundedDuringRealWorkload(t *testing.T) {
 	cfg.NX, cfg.NY = 26, 12
 
 	g := grid.Build(chip, cfg)
-	s, err := NewSimulator(g, testDT)
+	s, err := NewSimulatorOpts(g, testDT, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSpatialCorrelationDecaysWithDistance(t *testing.T) {
 	cfg.NX, cfg.NY = 26, 12
 
 	g := grid.Build(chip, cfg)
-	s, err := NewSimulator(g, testDT)
+	s, err := NewSimulatorOpts(g, testDT, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCriticalNodeEmptyPanics(t *testing.T) {
 
 func TestResetRestoresQuiescence(t *testing.T) {
 	g := smallGrid()
-	s, err := NewSimulator(g, testDT)
+	s, err := NewSimulatorOpts(g, testDT, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestResetRestoresQuiescence(t *testing.T) {
 }
 
 func TestNewSimulatorRejectsBadDT(t *testing.T) {
-	if _, err := NewSimulator(smallGrid(), 0); err == nil {
+	if _, err := NewSimulatorOpts(smallGrid(), 0, SimOptions{}); err == nil {
 		t.Fatal("expected error for dt=0")
 	}
 }

@@ -54,15 +54,12 @@ type BatchCGSolver struct {
 	applyPreBatch func(z, r []float64)
 	// fallback per-column scratch (generic Preconditioner)
 	colZ, colR []float64
-	// Chebyshev batch workspace
-	chRes, chW, chD []float64
 }
 
 // NewBatchCGSolver prepares a solver for nrhs simultaneous systems on the
-// SPD matrix a. Options mirror NewCGSolver: nil Precond builds Jacobi; IC,
-// Jacobi and Cheby preconditioners get dedicated batch applications (factor
-// traversed once for all columns), anything else is applied column by
-// column.
+// SPD matrix a. Options mirror NewCGSolver: nil Precond builds plain IC(0);
+// IC preconditioners get a dedicated batch application (factor traversed
+// once for all columns), anything else is applied column by column.
 func NewBatchCGSolver(a *CSR, nrhs int, opt CGOptions) (*BatchCGSolver, error) {
 	n := a.rows
 	if a.cols != n {
@@ -71,13 +68,9 @@ func NewBatchCGSolver(a *CSR, nrhs int, opt CGOptions) (*BatchCGSolver, error) {
 	if nrhs < 1 {
 		panic(fmt.Sprintf("sparse: batch CG needs nrhs >= 1, got %d", nrhs))
 	}
-	pre := opt.Precond
-	if pre == nil {
-		j, err := NewJacobi(a)
-		if err != nil {
-			return nil, err
-		}
-		pre = j
+	pre, err := defaultPrecond(a, opt.Precond)
+	if err != nil {
+		return nil, err
 	}
 	tol := opt.Tol
 	if tol <= 0 {
@@ -340,39 +333,21 @@ func (s *BatchCGSolver) SolveBatch(x, b []float64) ([]int, error) {
 
 // bindPreconditioner selects the batch application for the concrete
 // preconditioner type. IC traverses the factor once for all columns with
-// level-scheduled parallel sweeps; Jacobi and Chebyshev are row-partitioned
-// interleaved kernels; anything else falls back to column-by-column Apply.
+// level-scheduled parallel sweeps; anything else falls back to
+// column-by-column Apply.
 func (s *BatchCGSolver) bindPreconditioner() {
-	switch p := s.pre.(type) {
-	case *Jacobi:
-		stage := func(lo, hi int) {
-			m := s.m
-			for i := lo; i < hi; i++ {
-				d := p.invD[i]
-				base := i * m
-				for c := 0; c < m; c++ {
-					s.sx[base+c] = d * s.sy[base+c]
-				}
-			}
-		}
-		s.applyPreBatch = func(z, r []float64) {
-			s.sx, s.sy = z, r
-			s.t.run(s.n, s.batchRowChunk(), stage)
-		}
-	case *IC:
+	if p, ok := s.pre.(*IC); ok {
 		s.bindIC(p)
-	case *Cheby:
-		s.bindCheby(p)
-	default:
-		s.colZ = make([]float64, s.n)
-		s.colR = make([]float64, s.n)
-		s.applyPreBatch = func(z, r []float64) {
-			m := s.m
-			for c := 0; c < m; c++ {
-				UnpackColumn(s.colR, r, c, m)
-				s.pre.Apply(s.colZ, s.colR)
-				PackColumn(z, s.colZ, c, m)
-			}
+		return
+	}
+	s.colZ = make([]float64, s.n)
+	s.colR = make([]float64, s.n)
+	s.applyPreBatch = func(z, r []float64) {
+		m := s.m
+		for c := 0; c < m; c++ {
+			UnpackColumn(s.colR, r, c, m)
+			s.pre.Apply(s.colZ, s.colR)
+			PackColumn(z, s.colZ, c, m)
 		}
 	}
 }
@@ -442,72 +417,6 @@ func (s *BatchCGSolver) bindIC(p *IC) {
 			s.t.run(len(rowsCur), levelChunk, bwdStage)
 		}
 		rowsCur = nil
-	}
-}
-
-// bindCheby prebuilds the multi-RHS Chebyshev semi-iteration: the
-// recurrence scalars are column-independent (they depend only on the
-// spectrum bounds), so the batch application is the single-RHS stage
-// sequence over interleaved vectors with batch SpMVs.
-func (s *BatchCGSolver) bindCheby(p *Cheby) {
-	m, n := s.m, s.n
-	s.chRes = make([]float64, n*m)
-	s.chW = make([]float64, n*m)
-	s.chD = make([]float64, n*m)
-	var s1, s2 float64
-	var z, r []float64
-	stFirst := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f := s1 * p.invD[i]
-			base := i * m
-			for c := 0; c < m; c++ {
-				v := f * r[base+c]
-				z[base+c] = v
-				s.chD[base+c] = v
-			}
-		}
-	}
-	stResid := func(lo, hi int) {
-		for i := lo * m; i < hi*m; i++ {
-			s.chRes[i] = r[i] - s.chRes[i]
-		}
-	}
-	stScaleW := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d := p.invD[i]
-			base := i * m
-			for c := 0; c < m; c++ {
-				s.chW[base+c] = d * s.chRes[base+c]
-			}
-		}
-	}
-	stUpdate := func(lo, hi int) {
-		a1, a2 := s1, s2
-		for i := lo * m; i < hi*m; i++ {
-			s.chD[i] = a1*s.chD[i] + a2*s.chW[i]
-			z[i] += s.chD[i]
-		}
-	}
-	rc := s.batchRowChunk()
-	s.applyPreBatch = func(zz, rr []float64) {
-		z, r = zz, rr
-		theta := (p.lmax + p.lmin) / 2
-		delta := (p.lmax - p.lmin) / 2
-		sigma := theta / delta
-		s1 = 1 / theta
-		s.t.run(n, rc, stFirst)
-		rho := 1 / sigma
-		for k := 1; k < p.degree; k++ {
-			s.bMulVec(s.chRes, z)
-			s.t.run(n, rc, stResid)
-			s.t.run(n, rc, stScaleW)
-			rhoNew := 1 / (2*sigma - rho)
-			s1 = rhoNew * rho
-			s2 = 2 * rhoNew / delta
-			s.t.run(n, rc, stUpdate)
-			rho = rhoNew
-		}
-		z, r = nil, nil
 	}
 }
 

@@ -29,35 +29,32 @@ func batchFixture(nx, ny, nrhs int, seed int64) (a *CSR, xI, bI []float64, xCols
 	return
 }
 
-// mkPre builds the named preconditioner for a (nil = solver default).
+// mkPre builds the named preconditioner for a ("default" = nil, so the
+// solver builds its own plain IC(0)).
 func mkPre(t *testing.T, a *CSR, name string) Preconditioner {
 	t.Helper()
-	var pre Preconditioner
-	var err error
 	switch name {
-	case "jacobi":
-		pre, err = NewJacobi(a)
 	case "ic":
-		pre, err = NewICModified(a, 1.0)
-	case "cheby":
-		pre, err = NewCheby(a, 0)
+		pre, err := NewICModified(a, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pre
 	case "identity":
 		return Identity{} // exercises the generic per-column fallback
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pre
+	return nil
 }
 
 // TestSolveBatchBitwiseMatchesLooped: the core equivalence contract — for
-// every preconditioner family, SolveBatch produces bit-for-bit the same
+// the MIC factor, the default plain IC(0) and the generic per-column
+// fallback, SolveBatch produces bit-for-bit the same
 // solutions and iteration counts as looping CGSolver.Solve column by
 // column. Not a tolerance comparison: the operation orders are engineered
 // to coincide.
 func TestSolveBatchBitwiseMatchesLooped(t *testing.T) {
 	const nrhs = 3
-	for _, name := range []string{"jacobi", "ic", "cheby", "identity"} {
+	for _, name := range []string{"ic", "default", "identity"} {
 		a, xI, bI, xCols, bCols := batchFixture(33, 27, nrhs, 12)
 		opt := CGOptions{Tol: 1e-11, Precond: mkPre(t, a, name)}
 		bs, err := NewBatchCGSolver(a, nrhs, opt)
@@ -188,26 +185,86 @@ func TestSolveBatchMixedConvergence(t *testing.T) {
 	}
 }
 
-// TestSolveBatchZeroAlloc: the batch solve hot path allocates nothing, for
-// every dedicated batch preconditioner.
+// TestSolveBatchZeroAlloc: the batch solve hot path allocates nothing with
+// the dedicated IC batch application.
 func TestSolveBatchZeroAlloc(t *testing.T) {
 	const nrhs = 4
-	for _, name := range []string{"jacobi", "ic", "cheby"} {
-		a, xI, bI, _, _ := batchFixture(32, 32, nrhs, 40)
-		bs, err := NewBatchCGSolver(a, nrhs, CGOptions{Tol: 1e-10, Precond: mkPre(t, a, name), Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+	a, xI, bI, _, _ := batchFixture(32, 32, nrhs, 40)
+	bs, err := NewBatchCGSolver(a, nrhs, CGOptions{Tol: 1e-10, Precond: mkPre(t, a, "ic"), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bs.SolveBatch(xI, bI); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := bs.SolveBatch(xI, bI); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := bs.SolveBatch(xI, bI); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: SolveBatch allocates %v per run, want 0", name, allocs)
+	})
+	if allocs != 0 {
+		t.Fatalf("SolveBatch allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestNilPrecondIsPlainIC pins the default: a nil CGOptions.Precond gives
+// the same iteration counts and bitwise the same solutions as an explicit
+// NewIC(a), for both the single-RHS and the batch solver.
+func TestNilPrecondIsPlainIC(t *testing.T) {
+	const nrhs = 2
+	a, xI, bI, xCols, bCols := batchFixture(24, 19, nrhs, 8)
+	explicit := func() CGOptions {
+		ic, err := NewIC(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return CGOptions{Tol: 1e-11, Precond: ic}
+	}
+	solveSingle := func(opt CGOptions, x, b []float64) int {
+		s, err := NewCGSolver(a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it, err := s.Solve(x, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return it
+	}
+	xNil := append([]float64(nil), xCols[0]...)
+	itNil := solveSingle(CGOptions{Tol: 1e-11}, xNil, bCols[0])
+	itIC := solveSingle(explicit(), xCols[0], bCols[0])
+	if itNil != itIC {
+		t.Fatalf("CGSolver: nil Precond took %d iterations, NewIC %d", itNil, itIC)
+	}
+	for i := range xNil {
+		if xNil[i] != xCols[0][i] {
+			t.Fatalf("CGSolver: x[%d] = %v with nil Precond, %v with NewIC", i, xNil[i], xCols[0][i])
+		}
+	}
+
+	solveBatch := func(opt CGOptions, x []float64) []int {
+		bs, err := NewBatchCGSolver(a, nrhs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iters, err := bs.SolveBatch(x, bI)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]int(nil), iters...)
+	}
+	xBatchNil := append([]float64(nil), xI...)
+	itsNil := solveBatch(CGOptions{Tol: 1e-11}, xBatchNil)
+	itsIC := solveBatch(explicit(), xI)
+	for c := range itsNil {
+		if itsNil[c] != itsIC[c] {
+			t.Fatalf("BatchCGSolver col %d: nil Precond took %d iterations, NewIC %d", c, itsNil[c], itsIC[c])
+		}
+	}
+	for i := range xBatchNil {
+		if xBatchNil[i] != xI[i] {
+			t.Fatalf("BatchCGSolver: x[%d] = %v with nil Precond, %v with NewIC", i, xBatchNil[i], xI[i])
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 // restricted to the sparsity pattern of A's lower triangle. For M-matrices
 // — the power-grid conductance systems this package targets — the
 // factorization is guaranteed to exist (Meijerink–van der Vorst), and it
-// cuts PCG iteration counts well below Jacobi because it captures the
-// neighbor coupling, not just the diagonal.
+// cuts PCG iteration counts well below diagonal scaling because it captures
+// the neighbor coupling, not just the diagonal.
 //
 // NewICModified builds the modified variant (MIC): fill that IC(0) would
 // discard is instead subtracted from the two affected diagonals, which
@@ -41,7 +41,7 @@ func NewIC(a *CSR) (*IC, error) { return newIC(a, 0) }
 // NewICModified factors a into a relaxed modified incomplete Cholesky
 // preconditioner: dropped fill is subtracted from the diagonals scaled by
 // omega ∈ [0, 1]. omega = 0 is plain IC(0); omega = 1 preserves row sums
-// exactly but can break down, so ~0.95 is the usual production choice.
+// exactly but can break down, so callers keep plain IC(0) as a fallback.
 func NewICModified(a *CSR, omega float64) (*IC, error) {
 	if omega < 0 || omega > 1 {
 		return nil, fmt.Errorf("sparse: NewICModified omega %g outside [0, 1]", omega)

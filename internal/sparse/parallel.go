@@ -123,11 +123,11 @@ type ops struct {
 	t    team
 	sums []float64 // dot reduction blocks
 
-	a          *CSR    // staged matrix (SpMV)
+	a          *CSR // staged matrix (SpMV)
 	x, y, z, w []float64
 	s1         float64
 
-	fnSpMV, fnDot, fnAxpy2, fnXpBY, fnSub, fnScale func(lo, hi int)
+	fnSpMV, fnDot, fnAxpy2, fnXpBY, fnSub func(lo, hi int)
 }
 
 // newOps prepares kernels for vectors of length n with the given worker
@@ -166,12 +166,6 @@ func newOps(n, workers int) *ops {
 	o.fnSub = func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			o.x[i] = o.y[i] - o.x[i]
-		}
-	}
-	o.fnScale = func(lo, hi int) {
-		s := o.s1
-		for i := lo; i < hi; i++ {
-			o.x[i] = s * o.y[i]
 		}
 	}
 	return o
@@ -225,23 +219,9 @@ func (o *ops) sub(r, b []float64) {
 	o.t.run(len(r), vecChunk, o.fnSub)
 }
 
-// scale performs x = s·y.
-func (o *ops) scale(x []float64, s float64, y []float64) {
-	o.s1, o.x, o.y = s, x, y
-	o.t.run(len(x), vecChunk, o.fnScale)
-}
-
 // teamPreconditioner is implemented by preconditioners that can apply
-// themselves on the solver's team (level-scheduled IC, Chebyshev, Jacobi);
-// others fall back to the serial Apply.
+// themselves on the solver's team (level-scheduled IC); others fall back to
+// the serial Apply.
 type teamPreconditioner interface {
 	applyTeam(o *ops, z, r []float64)
-}
-
-// applyTeam parallelizes the diagonal scaling through the preconditioner's
-// prebuilt stage (see NewJacobi), so repeated applications allocate nothing.
-func (j *Jacobi) applyTeam(o *ops, z, r []float64) {
-	j.z, j.r = z, r
-	o.t.run(len(z), vecChunk, j.stage)
-	j.z, j.r = nil, nil
 }

@@ -152,8 +152,8 @@ func TestDotDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestCGInvariantUnderParallelism: full PCG solves — every preconditioner
-// family — return bitwise-identical solutions and iteration counts for
+// TestCGInvariantUnderParallelism: full MIC-preconditioned CG solves return
+// bitwise-identical solutions and iteration counts for
 // Workers ∈ {1, 2, GOMAXPROCS}.
 func TestCGInvariantUnderParallelism(t *testing.T) {
 	a := gridLaplacianCSR(48, 37, 0.2)
@@ -165,35 +165,32 @@ func TestCGInvariantUnderParallelism(t *testing.T) {
 		b[i] = rng.NormFloat64()
 		x0[i] = 0.1 * rng.NormFloat64() // nontrivial warm start
 	}
-	preconds := map[string]func() Preconditioner{
-		"jacobi": func() Preconditioner { p, _ := NewJacobi(a); return p },
-		"ic":     func() Preconditioner { p, _ := NewICModified(a, 1.0); return p },
-		"cheby":  func() Preconditioner { p, _ := NewCheby(a, 0); return p },
-	}
-	for name, mk := range preconds {
-		var refX []float64
-		refIt := -1
-		for _, w := range workerCounts() {
-			s, err := NewCGSolver(a, CGOptions{Tol: 1e-11, Precond: mk(), Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
-			}
-			x := append([]float64(nil), x0...)
-			it, err := s.Solve(x, b)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
-			}
-			if refX == nil {
-				refX, refIt = x, it
-				continue
-			}
-			if it != refIt {
-				t.Fatalf("%s workers=%d: %d iterations, want %d", name, w, it, refIt)
-			}
-			for i := range x {
-				if x[i] != refX[i] {
-					t.Fatalf("%s workers=%d: x[%d] = %v, want %v (not bitwise identical)", name, w, i, x[i], refX[i])
-				}
+	var refX []float64
+	refIt := -1
+	for _, w := range workerCounts() {
+		ic, err := NewICModified(a, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewCGSolver(a, CGOptions{Tol: 1e-11, Precond: ic, Workers: w})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		x := append([]float64(nil), x0...)
+		it, err := s.Solve(x, b)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if refX == nil {
+			refX, refIt = x, it
+			continue
+		}
+		if it != refIt {
+			t.Fatalf("workers=%d: %d iterations, want %d", w, it, refIt)
+		}
+		for i := range x {
+			if x[i] != refX[i] {
+				t.Fatalf("workers=%d: x[%d] = %v, want %v (not bitwise identical)", w, i, x[i], refX[i])
 			}
 		}
 	}
@@ -259,45 +256,34 @@ func TestICLevelsAreMeshWavefronts(t *testing.T) {
 	}
 }
 
-// TestCGSolverZeroAllocParallel: the parallel solve path allocates nothing
-// in steady state, for the team-applied preconditioners.
+// TestCGSolverZeroAllocParallel: the parallel solve path, with the
+// team-applied IC sweeps, allocates nothing in steady state.
 func TestCGSolverZeroAllocParallel(t *testing.T) {
 	a := gridLaplacianCSR(32, 32, 0.3)
 	n := a.Rows()
-	for _, name := range []string{"jacobi", "ic", "cheby"} {
-		var pre Preconditioner
-		var err error
-		switch name {
-		case "jacobi":
-			pre, err = NewJacobi(a)
-		case "ic":
-			pre, err = NewICModified(a, 1.0)
-		case "cheby":
-			pre, err = NewCheby(a, 0)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewCGSolver(a, CGOptions{Tol: 1e-10, Precond: pre, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := make([]float64, n)
-		x := make([]float64, n)
-		for i := range b {
-			b[i] = 1
-		}
+	ic, err := NewICModified(a, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewCGSolver(a, CGOptions{Tol: 1e-10, Precond: ic, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, n)
+	x := make([]float64, n)
+	for i := range b {
+		b[i] = 1
+	}
+	if _, err := s.Solve(x, b); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := s.Solve(x, b); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := s.Solve(x, b); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: Solve allocates %v per run, want 0", name, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Solve allocates %v per run, want 0", allocs)
 	}
 }
 

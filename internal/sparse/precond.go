@@ -1,56 +1,7 @@
 package sparse
 
-import "fmt"
-
-// Precond names a preconditioner family for flag plumbing (pdn's sparse
-// backend and the -precond CLI flags). It selects how the constant SPD
-// system is approximated, trading iteration count against per-iteration
-// parallelism: the level-scheduled IC sweeps carry sequential dependencies
-// between levels, while Chebyshev and Jacobi are embarrassingly parallel.
+// Precond is a retired preconditioner selector with no values left. The
+// pdn sparse step path always runs modified IC(0) with a plain-IC(0)
+// fallback on breakdown; the type survives only as the type of the ignored
+// pdn.SimOptions.Precond and experiments.Config.Precond fields.
 type Precond int
-
-const (
-	// PrecondAuto lets the caller pick (pdn uses modified IC(0), the
-	// strongest option, falling back to plain IC on breakdown).
-	PrecondAuto Precond = iota
-	// PrecondIC is incomplete Cholesky — modified IC(0) with plain-IC
-	// fallback — applied by level-scheduled parallel triangular sweeps.
-	PrecondIC
-	// PrecondJacobi is diagonal scaling: weakest, fully parallel.
-	PrecondJacobi
-	// PrecondCheby is the Chebyshev polynomial preconditioner over Jacobi
-	// scaling: a fixed-degree polynomial in diag(A)⁻¹A built from SpMV and
-	// vector kernels only, so every flop parallelizes.
-	PrecondCheby
-)
-
-// String names the preconditioner for logs and flags.
-func (p Precond) String() string {
-	switch p {
-	case PrecondAuto:
-		return "auto"
-	case PrecondIC:
-		return "ic"
-	case PrecondJacobi:
-		return "jacobi"
-	case PrecondCheby:
-		return "cheby"
-	}
-	return fmt.Sprintf("Precond(%d)", int(p))
-}
-
-// ParsePrecond maps a flag value ("auto", "ic", "jacobi", "cheby") to a
-// Precond.
-func ParsePrecond(s string) (Precond, error) {
-	switch s {
-	case "", "auto":
-		return PrecondAuto, nil
-	case "ic":
-		return PrecondIC, nil
-	case "jacobi":
-		return PrecondJacobi, nil
-	case "cheby":
-		return PrecondCheby, nil
-	}
-	return PrecondAuto, fmt.Errorf("sparse: unknown preconditioner %q (want auto, ic, jacobi or cheby)", s)
-}

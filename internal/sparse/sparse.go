@@ -11,11 +11,10 @@
 // would blow up any banded factor.
 //
 // The engine is parallel end to end on the mat worker pool: row-partitioned
-// SpMV and fused vector kernels, level-scheduled IC(0) triangular sweeps, a
-// fully parallel Chebyshev/Jacobi polynomial preconditioner (ParsePrecond
-// selects between them), reverse Cuthill–McKee reordering (RCM/PermuteSym)
-// for cache locality and tighter level sets, and a blocked multi-RHS PCG
-// (BatchCGSolver) that steps many transients through one matrix traversal.
+// SpMV and fused vector kernels, level-scheduled IC(0) triangular sweeps,
+// reverse Cuthill–McKee reordering (RCM/PermuteSym) for cache locality and
+// tighter level sets, and a blocked multi-RHS PCG (BatchCGSolver) that
+// steps many transients through one matrix traversal.
 // Everything preserves the house invariant: results are bitwise identical
 // across worker counts, and the solve hot loops allocate nothing.
 package sparse
@@ -233,48 +232,13 @@ type Identity struct{}
 // Apply copies r into z.
 func (Identity) Apply(z, r []float64) { copy(z, r) }
 
-// Jacobi is the diagonal preconditioner M = diag(A).
-type Jacobi struct {
-	invD []float64
-
-	// staged operands + prebuilt stage for the parallel applyTeam path.
-	z, r  []float64
-	stage func(lo, hi int)
-}
-
-// NewJacobi builds a Jacobi preconditioner, rejecting non-positive
-// diagonals since those contradict the SPD contract.
-func NewJacobi(a *CSR) (*Jacobi, error) {
-	invD := a.Diag()
-	for i, d := range invD {
-		if d <= 0 {
-			return nil, fmt.Errorf("sparse: non-positive diagonal %g at %d; matrix not SPD", d, i)
-		}
-		invD[i] = 1 / d
-	}
-	j := &Jacobi{invD: invD}
-	j.stage = func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			j.z[i] = j.invD[i] * j.r[i]
-		}
-	}
-	return j, nil
-}
-
-// Apply computes z = diag(A)⁻¹ r.
-func (j *Jacobi) Apply(z, r []float64) {
-	for i, d := range j.invD {
-		z[i] = d * r[i]
-	}
-}
-
 // CGOptions configures SolveCG and NewCGSolver.
 type CGOptions struct {
 	Tol     float64 // relative residual target; default 1e-10
 	MaxIter int     // default 10 * n
-	// Precond overrides the default Jacobi preconditioner. Use Identity{}
-	// for unpreconditioned CG, NewIC(a) for incomplete Cholesky, or
-	// NewCheby(a, deg) for the fully parallel polynomial preconditioner.
+	// Precond overrides the default plain IC(0) preconditioner. Use
+	// Identity{} for unpreconditioned CG or NewICModified(a, omega) for
+	// modified incomplete Cholesky.
 	Precond Preconditioner
 	// Workers bounds the parallel shares of every kernel in the solve
 	// (SpMV, reductions, preconditioner sweeps). 0 means the mat pool
@@ -299,19 +263,16 @@ type CGSolver struct {
 }
 
 // NewCGSolver prepares a solver for the SPD matrix a. With opt.Precond nil
-// it builds a Jacobi preconditioner, which fails on non-positive diagonals.
+// it builds a plain IC(0) preconditioner, which fails on a missing diagonal
+// or a non-positive pivot.
 func NewCGSolver(a *CSR, opt CGOptions) (*CGSolver, error) {
 	n := a.rows
 	if a.cols != n {
 		panic(fmt.Sprintf("sparse: CG needs square matrix, got %dx%d", a.rows, a.cols))
 	}
-	pre := opt.Precond
-	if pre == nil {
-		j, err := NewJacobi(a)
-		if err != nil {
-			return nil, err
-		}
-		pre = j
+	pre, err := defaultPrecond(a, opt.Precond)
+	if err != nil {
+		return nil, err
 	}
 	tol := opt.Tol
 	if tol <= 0 {
@@ -329,6 +290,14 @@ func NewCGSolver(a *CSR, opt CGOptions) (*CGSolver, error) {
 	}
 	s.preTeam, _ = pre.(teamPreconditioner)
 	return s, nil
+}
+
+// defaultPrecond returns pre, or a plain IC(0) factor of a when pre is nil.
+func defaultPrecond(a *CSR, pre Preconditioner) (Preconditioner, error) {
+	if pre != nil {
+		return pre, nil
+	}
+	return NewIC(a)
 }
 
 // applyPre applies the preconditioner on the team when it supports it.
@@ -385,7 +354,7 @@ func (s *CGSolver) Solve(x, b []float64) (int, error) {
 }
 
 // SolveCG solves the symmetric positive definite system A x = b with
-// preconditioned conjugate gradient (Jacobi unless opt.Precond says
+// preconditioned conjugate gradient (plain IC(0) unless opt.Precond says
 // otherwise), starting from x0 (nil means zero). It returns the solution
 // and the iteration count. One-shot convenience over CGSolver.
 func SolveCG(a *CSR, b, x0 []float64, opt CGOptions) ([]float64, int, error) {

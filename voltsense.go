@@ -249,7 +249,9 @@ func DefaultGrid() GridConfig { return grid.DefaultConfig() }
 type Simulator = pdn.Simulator
 
 // NewSimulator assembles and factors the transient system at step dt.
-func NewSimulator(g *Grid, dt float64) (*Simulator, error) { return pdn.NewSimulator(g, dt) }
+func NewSimulator(g *Grid, dt float64) (*Simulator, error) {
+	return pdn.NewSimulatorOpts(g, dt, pdn.SimOptions{})
+}
 
 // Benchmark is one synthetic workload.
 type Benchmark = workload.Benchmark
