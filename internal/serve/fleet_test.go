@@ -204,6 +204,14 @@ func healthyBatch() string {
 	return `{"readings":[[0.95,0.95,0.95]]}`
 }
 
+// noisyBatch is the i-th batch of a healthy stream that carries supply
+// noise. A stream of identical readings is, after one detector window,
+// rightly diagnosed stuck, so sustained traffic must vary.
+func noisyBatch(i int) string {
+	v := 0.95 + 0.005*float64(i%5-2)
+	return fmt.Sprintf(`{"readings":[[%g,%g,%g]]}`, v, v, v)
+}
+
 // TestFleetReloadUnderTrafficPreservesUntouchedTenants rewrites one
 // tenant's artifact and rescans while concurrent traffic hits two tenants:
 // only the changed tenant swaps, and the untouched tenant keeps its runtime
@@ -244,8 +252,8 @@ func TestFleetReloadUnderTrafficPreservesUntouchedTenants(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				code, _, body := predictAs(t, ts, tenant, healthyBatch())
+			for i := 0; !stop.Load(); i++ {
+				code, _, body := predictAs(t, ts, tenant, noisyBatch(i))
 				if code != http.StatusOK {
 					t.Errorf("tenant %s mid-reload: code %d body %s", tenant, code, body)
 					return
