@@ -223,18 +223,20 @@ func checkCriterionValues(path string) ([]string, error) {
 // formatRe matches artifact format-name tokens like voltsense-prior/v1.
 var formatRe = regexp.MustCompile(`voltsense-[a-z]+/v[0-9]+`)
 
-// knownFormats is every artifact format the code actually serializes,
-// sourced from the constants the writers use — not re-typed strings.
+// knownFormats is every artifact format the code actually serializes or
+// still loads, sourced from the constants the writers and loaders use — not
+// re-typed strings.
 var knownFormats = map[string]bool{
-	core.PredictorFormat: true,
-	transfer.PriorFormat: true,
-	transfer.DeltaFormat: true,
+	core.PredictorFormat:   true,
+	core.PredictorFormatV1: true, // legacy, load-only
+	transfer.PriorFormat:   true,
+	transfer.DeltaFormat:   true,
 }
 
 // checkFormatNames verifies that every voltsense-*/v* format name a markdown
 // file mentions — in prose or inside fenced JSON examples — is one the code
-// writes. A misspelled or invented format in serialization docs is exactly
-// the kind of rot that survives review.
+// writes or loads. A misspelled or invented format in serialization docs is
+// exactly the kind of rot that survives review.
 func checkFormatNames(path string) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -61,13 +61,27 @@ func TestCheckGodocCleanOnRealPlacePackage(t *testing.T) {
 func TestCheckFormatNames(t *testing.T) {
 	dir := t.TempDir()
 	md := filepath.Join(dir, "doc.md")
-	write(t, md, "Artifacts use voltsense-predictor/v1 and voltsense-prior/v1.\n\n```json\n{\"format\": \"voltsense-deltas/v1\"}\n```\n")
+	write(t, md, "Artifacts use voltsense-predictor/v2 and voltsense-prior/v1.\n\n```json\n{\"format\": \"voltsense-deltas/v1\"}\n```\n")
 	problems, err := checkFormatNames(md)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(problems) != 1 || !strings.Contains(problems[0], `"voltsense-deltas/v1"`) {
 		t.Errorf("want exactly the voltsense-deltas/v1 violation, got %v", problems)
+	}
+}
+
+// The legacy predictor format still loads, so docs may describe it; a
+// version the code neither writes nor loads is still flagged.
+func TestCheckFormatNamesLegacyPredictor(t *testing.T) {
+	md := filepath.Join(t.TempDir(), "doc.md")
+	write(t, md, "Save writes voltsense-predictor/v2; voltsense-predictor/v1 still loads; voltsense-predictor/v3 does not exist.\n")
+	problems, err := checkFormatNames(md)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 1 || !strings.Contains(problems[0], `"voltsense-predictor/v3"`) {
+		t.Errorf("want exactly the voltsense-predictor/v3 violation, got %v", problems)
 	}
 }
 

@@ -38,7 +38,9 @@ import (
 
 	"voltsense/internal/core"
 	"voltsense/internal/loadgen"
+	"voltsense/internal/mat"
 	"voltsense/internal/monitor"
+	"voltsense/internal/ols"
 	"voltsense/internal/serve"
 	"voltsense/internal/transfer"
 )
@@ -130,7 +132,7 @@ func buildTarget(addr, store string, ids []string, sensors, blocks int, calibrat
 		}
 		cleanup = func() { os.RemoveAll(dir) }
 		for i, id := range ids {
-			if err := os.WriteFile(filepath.Join(dir, id+".json"), syntheticArtifact(sensors, blocks, i), 0o644); err != nil {
+			if err := saveArtifact(filepath.Join(dir, id+".json"), syntheticPredictor(sensors, blocks, i)); err != nil {
 				cleanup()
 				return loadgen.Target{}, nil, err
 			}
@@ -171,38 +173,37 @@ func newServer(store string, prior *transfer.SharedPrior, ov serve.Overload) (*s
 func syntheticPrior(q, k int) (*transfer.SharedPrior, error) {
 	goldens := make([]*core.Predictor, 0, 3)
 	for seed := 0; seed < 3; seed++ {
-		p, err := core.LoadPredictor(bytes.NewReader(syntheticArtifact(q, k, seed)))
-		if err != nil {
-			return nil, fmt.Errorf("synthetic golden %d: %w", seed, err)
-		}
-		goldens = append(goldens, p)
+		goldens = append(goldens, syntheticPredictor(q, k, seed))
 	}
 	return transfer.FitPrior(goldens, transfer.PriorConfig{})
 }
 
-// syntheticArtifact emits a valid voltsense-predictor/v1 with Q sensors and
-// K blocks; the tenant seed perturbs coefficients so tenants differ.
-func syntheticArtifact(q, k, seed int) []byte {
-	sel := make([]int, q)
-	alpha := make([][]float64, k)
-	c := make([]float64, k)
-	for j := range sel {
-		sel[j] = j
+// syntheticPredictor builds a valid predictor with Q sensors and K blocks;
+// the tenant seed perturbs coefficients so tenants differ.
+func syntheticPredictor(q, k, seed int) *core.Predictor {
+	p := &core.Predictor{
+		Selected: make([]int, q),
+		Model:    &ols.Model{Alpha: mat.Zeros(k, q), C: make([]float64, k)},
 	}
-	for i := range alpha {
-		row := make([]float64, q)
-		for j := range row {
-			row[j] = (1 + 0.01*float64((seed+i+j)%7)) / float64(q)
+	for j := range p.Selected {
+		p.Selected[j] = j
+	}
+	for i := 0; i < k; i++ {
+		for j := 0; j < q; j++ {
+			p.Model.Alpha.Set(i, j, (1+0.01*float64((seed+i+j)%7))/float64(q))
 		}
-		alpha[i] = row
 	}
-	b, _ := json.MarshalIndent(map[string]any{
-		"format":           "voltsense-predictor/v1",
-		"selected_sensors": sel,
-		"alpha":            alpha,
-		"c":                c,
-	}, "", "  ")
-	return append(b, '\n')
+	return p
+}
+
+// saveArtifact writes p to path through Predictor.Save, in the format the
+// fleet itself writes.
+func saveArtifact(path string, p *core.Predictor) error {
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // benchEntry and benchFile mirror cmd/benchreport's report schema so

@@ -4,17 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// FuzzLoadPredictor hammers the voltsense-predictor/v1 loader with mutated
-// artifacts — legacy (no fallbacks), fallback-carrying, indented, trailed by
-// extra bytes, and malformed — and checks the loader's contract: it never
-// panics, and anything it accepts is internally consistent enough to
-// predict and to round-trip through Save.
+// FuzzLoadPredictor hammers the predictor loader with mutated artifacts —
+// v2 without and with fallbacks, indented, trailed by extra bytes, legacy
+// v1, and malformed — and checks the loader's contract: it never panics,
+// and anything it accepts is internally consistent enough to predict, and
+// re-saves as v2 to an artifact that loads back to the same bits.
 func FuzzLoadPredictor(f *testing.F) {
-	// Seed 1: a real legacy artifact (no fallbacks section).
+	// Seed 1: a real artifact without a fallbacks section.
 	rng := rand.New(rand.NewSource(11))
 	ds := syntheticDataset(rng, 10, 3, 300, []int{2, 5, 7}, 0.002)
 	legacy, err := BuildPredictor(ds, []int{2, 5, 7})
@@ -49,8 +51,20 @@ func FuzzLoadPredictor(f *testing.F) {
 	// Seed 4: a valid artifact with bytes after it, which must be rejected.
 	f.Add(append(bytes.Clone(buf.Bytes()), `{"format":"garbage"} trailing junk`...))
 
+	// Seed 5: a legacy v1 artifact with fallbacks and lineage.
+	v1, err := os.ReadFile(filepath.Join("testdata", "predictor_v1.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+
 	// Malformed seeds steering the fuzzer at validation edges.
 	for _, s := range []string{
+		`{"format":"voltsense-predictor/v2","selected_sensors":[0],"alpha":"AAAAAAAA8D8=","c":"AAAAAAAA4D8="}`,
+		`{"format":"voltsense-predictor/v2","selected_sensors":[0],"alpha":"AAAAAAAA8D9=","c":"AAAAAAAA4D8"}`,
+		`{"format":"voltsense-predictor/v2","selected_sensors":[0],"alpha":"AAAAAAAA\n8D8=","c":"AAAAAAAA+H8="}`,
+		`{"format":"voltsense-predictor/v2","selected_sensors":[0],"alpha":[[1]],"c":"AAAAAA=="}`,
+		`{"format":"voltsense-predictor/v1","selected_sensors":[0],"alpha":"AAAAAAAA8D8=","c":[0]}`,
 		``,
 		`{}`,
 		`{"format":"voltsense-predictor/v1"}`,
@@ -115,13 +129,21 @@ func FuzzLoadPredictor(f *testing.F) {
 				}
 			}
 		}
-		// Anything the loader accepts must survive a Save→Load round-trip.
+		// Anything the loader accepts re-saves as v2 and loads back to
+		// the same bits.
 		var buf bytes.Buffer
 		if err := p.Save(&buf); err != nil {
 			t.Fatalf("accepted artifact failed to re-save: %v", err)
 		}
-		if _, err := LoadPredictor(strings.NewReader(buf.String())); err != nil {
+		if !strings.HasPrefix(buf.String(), `{"format":"`+PredictorFormat+`"`) {
+			t.Fatalf("re-saved artifact is not %s: %.60s", PredictorFormat, buf.String())
+		}
+		back, err := LoadPredictor(&buf)
+		if err != nil {
 			t.Fatalf("re-saved artifact rejected: %v", err)
+		}
+		if diff := sameBits(back, p); diff != "" {
+			t.Fatalf("re-save changed the %s", diff)
 		}
 	})
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,10 +20,10 @@ import (
 // optional fault-tolerance payload. Artifacts written before the fallbacks
 // section existed decode with Fallbacks nil and serve unchanged.
 type predictorJSON struct {
-	Format    string         `json:"format"` // "voltsense-predictor/v1"
+	Format    string         `json:"format"` // PredictorFormat, or PredictorFormatV1 on load
 	Selected  []int          `json:"selected_sensors"`
-	Alpha     [][]float64    `json:"alpha"` // K rows of Q coefficients
-	C         []float64      `json:"c"`     // K intercepts
+	Alpha     coefBlock      `json:"alpha"` // K rows of Q coefficients
+	C         coefBlock      `json:"c"`     // K intercepts
 	Fallbacks *fallbacksJSON `json:"fallbacks,omitempty"`
 	Lineage   *lineageJSON   `json:"lineage,omitempty"`
 }
@@ -53,36 +56,131 @@ type sensorStatsJSON struct {
 // into selected_sensors (0..Q-1), strictly ascending; alpha has K rows of
 // Q-len(excluded) coefficients, ordered as the surviving positions.
 type fallbackModelJSON struct {
-	Excluded []int       `json:"excluded"`
-	Alpha    [][]float64 `json:"alpha"`
-	C        []float64   `json:"c"`
-	RelError float64     `json:"rel_error"`
+	Excluded []int     `json:"excluded"`
+	Alpha    coefBlock `json:"alpha"`
+	C        coefBlock `json:"c"`
+	RelError float64   `json:"rel_error"`
 }
 
-// PredictorFormat is the versioned format tag of full predictor artifacts.
-// Thin per-chip delta artifacts and golden-chip priors carry their own tags
-// (see internal/transfer).
-const PredictorFormat = "voltsense-predictor/v1"
+// PredictorFormat is the versioned format tag Save writes on full predictor
+// artifacts. Thin per-chip delta artifacts and golden-chip priors carry
+// their own tags (see internal/transfer).
+const PredictorFormat = "voltsense-predictor/v2"
 
-// marshalAlpha copies a coefficient matrix into row slices.
-func marshalAlpha(a *mat.Matrix) [][]float64 {
-	out := make([][]float64, a.Rows())
-	for i := 0; i < a.Rows(); i++ {
-		row := make([]float64, a.Cols())
-		copy(row, a.Row(i))
-		out[i] = row
+// PredictorFormatV1 is the tag of legacy predictor artifacts, whose
+// coefficients are decimal JSON. LoadPredictor still reads them; nothing
+// writes them.
+const PredictorFormatV1 = "voltsense-predictor/v1"
+
+// blockEncoding decodes coefficient blocks: standard padded base64 that
+// rejects non-zero padding bits.
+var blockEncoding = base64.StdEncoding.Strict()
+
+// coefBlock is one coefficient array of an artifact: a model's alpha (K rows
+// of q, row-major) or its K intercepts c. Save writes it as a binary block,
+// one JSON string of base64 over the values as little-endian IEEE-754
+// float64s. A v1 artifact carries the same values as decimal JSON: nested
+// rows for alpha, a flat array for c.
+type coefBlock struct {
+	vals    []float64
+	decimal bool // read from v1 decimal JSON rather than a binary block
+	width   int  // decimal only: the row length, 0 if flat, -1 if ragged
+}
+
+// MarshalText encodes the values as a binary block.
+func (b coefBlock) MarshalText() ([]byte, error) {
+	raw := make([]byte, 8*len(b.vals))
+	for i, v := range b.vals {
+		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
 	}
-	return out
+	out := make([]byte, base64.StdEncoding.EncodedLen(len(raw)))
+	base64.StdEncoding.Encode(out, raw)
+	return out, nil
 }
 
-// Save writes the predictor as one line of compact JSON, including the
-// fallbacks section when the predictor carries one.
+// UnmarshalJSON reads either representation; which one the artifact's
+// format tag allows is checked by values, once the tag is known.
+func (b *coefBlock) UnmarshalJSON(raw []byte) error {
+	*b = coefBlock{} // a duplicate key decodes afresh
+	if raw[0] == '"' {
+		return b.decodeBlock(raw[1 : len(raw)-1])
+	}
+	b.decimal = true
+	// A v1 alpha nests its rows; a v1 c is one flat array.
+	if rest := bytes.TrimLeft(raw[1:], " \t\r\n"); raw[0] != '[' || len(rest) == 0 || rest[0] != '[' {
+		return json.Unmarshal(raw, &b.vals)
+	}
+	var rows [][]float64
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		return err
+	}
+	b.width = len(rows[0])
+	b.vals = make([]float64, 0, len(rows)*b.width)
+	for _, row := range rows {
+		if len(row) != len(rows[0]) {
+			b.width = -1
+		}
+		b.vals = append(b.vals, row...)
+	}
+	return nil
+}
+
+// decodeBlock decodes the contents of a binary block's JSON string as the
+// artifact holds them. A JSON escape is therefore not unescaped but
+// rejected, its backslash not being base64, and a JSON string cannot hold
+// the raw line breaks the base64 decoder would skip.
+func (b *coefBlock) decodeBlock(s []byte) error {
+	raw := make([]byte, blockEncoding.DecodedLen(len(s)))
+	n, err := blockEncoding.Decode(raw, s)
+	if err != nil {
+		return fmt.Errorf("coefficient block: %w", err)
+	}
+	if n%8 != 0 {
+		return fmt.Errorf("coefficient block of %d bytes is not a whole number of float64s", n)
+	}
+	b.vals = make([]float64, n/8)
+	for i := range b.vals {
+		b.vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return nil
+}
+
+// values returns the block's n coefficients after checking that it is in
+// the representation format names (decimal rows of width values for a v1
+// alpha, a flat decimal array for width 0) and that every value is finite.
+func (b *coefBlock) values(format string, n, width int, what string) ([]float64, error) {
+	if len(b.vals) != n {
+		return nil, fmt.Errorf("core: %s has %d values, want %d", what, len(b.vals), n)
+	}
+	if b.decimal != (format == PredictorFormatV1) {
+		if b.decimal {
+			return nil, fmt.Errorf("core: %s is decimal JSON in a %s artifact", what, format)
+		}
+		return nil, fmt.Errorf("core: %s is a binary block in a %s artifact", what, format)
+	}
+	if b.decimal && b.width != width {
+		if b.width < 0 {
+			return nil, fmt.Errorf("core: ragged %s rows", what)
+		}
+		return nil, fmt.Errorf("core: %s rows hold %d values, want %d", what, b.width, width)
+	}
+	for i, v := range b.vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("core: non-finite %s[%d] = %v", what, i, v)
+		}
+	}
+	return b.vals, nil
+}
+
+// Save writes the predictor as one line of compact PredictorFormat JSON,
+// its coefficients as binary blocks, including the fallbacks section when
+// the predictor carries one.
 func (p *Predictor) Save(w io.Writer) error {
 	pj := predictorJSON{
 		Format:   PredictorFormat,
 		Selected: p.Selected,
-		Alpha:    marshalAlpha(p.Model.Alpha),
-		C:        p.Model.C,
+		Alpha:    coefBlock{vals: p.Model.Alpha.Data()},
+		C:        coefBlock{vals: p.Model.C},
 	}
 	if p.Fallbacks != nil {
 		fj := &fallbacksJSON{}
@@ -93,8 +191,8 @@ func (p *Predictor) Save(w io.Writer) error {
 			fm := &p.Fallbacks.Models[i]
 			fj.Models = append(fj.Models, fallbackModelJSON{
 				Excluded: fm.Excluded,
-				Alpha:    marshalAlpha(fm.Model.Alpha),
-				C:        fm.Model.C,
+				Alpha:    coefBlock{vals: fm.Model.Alpha.Data()},
+				C:        coefBlock{vals: fm.Model.C},
 				RelError: fm.RelError,
 			})
 		}
@@ -134,62 +232,29 @@ func DecodeArtifact(r io.Reader, v any) error {
 	return nil
 }
 
-// unmarshalAlpha validates and copies a serialized coefficient matrix of
-// the expected shape, rejecting ragged rows and non-finite values.
-func unmarshalAlpha(rows [][]float64, k, q int, what string) (*mat.Matrix, error) {
-	if len(rows) != k {
-		return nil, fmt.Errorf("core: %s has %d rows for %d outputs", what, len(rows), k)
-	}
-	alpha := mat.Zeros(k, q)
-	for i, row := range rows {
-		if len(row) != q {
-			return nil, fmt.Errorf("core: ragged %s row %d: %d values, want %d", what, i, len(row), q)
-		}
-		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("core: non-finite coefficient %s[%d][%d] = %v", what, i, j, v)
-			}
-		}
-		copy(alpha.Row(i), row)
-	}
-	return alpha, nil
-}
-
-// checkFinite rejects non-finite intercepts.
-func checkFinite(c []float64, k int, what string) error {
-	if len(c) != k {
-		return fmt.Errorf("core: %d %s intercepts for %d outputs", len(c), what, k)
-	}
-	for i, v := range c {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: non-finite %s intercept c[%d] = %v", what, i, v)
-		}
-	}
-	return nil
-}
-
-// LoadPredictor reads a predictor saved by Save, validating its shape and
-// rejecting duplicate or out-of-order sensor indices and any non-finite
-// coefficient: a corrupt artifact must fail here, at load time, rather than
-// double-count a reading or poison every runtime prediction with NaN/Inf.
-// The optional fallbacks section, when present, is validated just as
-// strictly; artifacts without one load with Fallbacks nil. Anything after
-// the artifact's JSON value but whitespace is rejected.
+// LoadPredictor reads a predictor saved by Save, or a legacy
+// PredictorFormatV1 artifact, validating its shape and rejecting duplicate
+// or out-of-order sensor indices and any non-finite coefficient: a corrupt
+// artifact must fail here, at load time, rather than double-count a reading
+// or poison every runtime prediction with NaN/Inf. Both formats take the
+// same checks, and every coefficient array must be in the representation
+// its format tag names. The optional fallbacks section, when present, is
+// validated just as strictly; artifacts without one load with Fallbacks
+// nil. Anything after the artifact's JSON value but whitespace is rejected.
 func LoadPredictor(r io.Reader) (*Predictor, error) {
 	var pj predictorJSON
 	if err := DecodeArtifact(r, &pj); err != nil {
 		return nil, fmt.Errorf("core: loading predictor: %w", err)
 	}
-	if pj.Format != PredictorFormat {
+	if pj.Format != PredictorFormat && pj.Format != PredictorFormatV1 {
 		return nil, fmt.Errorf("core: unknown predictor format %q", pj.Format)
 	}
-	k := len(pj.Alpha)
+	k, q := len(pj.C.vals), len(pj.Selected)
 	if k == 0 {
 		return nil, fmt.Errorf("core: predictor has no outputs")
 	}
-	q := len(pj.Alpha[0])
-	if q == 0 || q != len(pj.Selected) {
-		return nil, fmt.Errorf("core: predictor has %d coefficients per row but %d sensors", q, len(pj.Selected))
+	if q == 0 {
+		return nil, fmt.Errorf("core: predictor has no sensors")
 	}
 	for i, s := range pj.Selected {
 		if s < 0 {
@@ -202,18 +267,17 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 			return nil, fmt.Errorf("core: sensor indices not ascending at position %d", i)
 		}
 	}
-	alpha, err := unmarshalAlpha(pj.Alpha, k, q, "alpha")
+	alpha, err := pj.Alpha.values(pj.Format, k*q, q, "alpha")
 	if err != nil {
 		return nil, err
 	}
-	if err := checkFinite(pj.C, k, "model"); err != nil {
+	c, err := pj.C.values(pj.Format, k, 0, "c")
+	if err != nil {
 		return nil, err
 	}
-	sel := make([]int, len(pj.Selected))
-	copy(sel, pj.Selected)
-	p := &Predictor{Selected: sel, Model: &ols.Model{Alpha: alpha, C: pj.C}}
+	p := &Predictor{Selected: pj.Selected, Model: &ols.Model{Alpha: mat.New(k, q, alpha), C: c}}
 	if pj.Fallbacks != nil {
-		fb, err := loadFallbacks(pj.Fallbacks, k, q)
+		fb, err := loadFallbacks(pj.Fallbacks, pj.Format, k, q)
 		if err != nil {
 			return nil, err
 		}
@@ -241,7 +305,7 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 
 // loadFallbacks validates the artifact's fallbacks section against the
 // primary model's K outputs and Q sensors.
-func loadFallbacks(fj *fallbacksJSON, k, q int) (*FallbackSet, error) {
+func loadFallbacks(fj *fallbacksJSON, format string, k, q int) (*FallbackSet, error) {
 	if len(fj.SensorStats) != q {
 		return nil, fmt.Errorf("core: fallbacks carry stats for %d sensors, model has %d", len(fj.SensorStats), q)
 	}
@@ -268,11 +332,12 @@ func loadFallbacks(fj *fallbacksJSON, k, q int) (*FallbackSet, error) {
 			}
 		}
 		kept := q - len(mj.Excluded)
-		alpha, err := unmarshalAlpha(mj.Alpha, k, kept, fmt.Sprintf("fallback %d alpha", mi))
+		alpha, err := mj.Alpha.values(format, k*kept, kept, fmt.Sprintf("fallback %d alpha", mi))
 		if err != nil {
 			return nil, err
 		}
-		if err := checkFinite(mj.C, k, fmt.Sprintf("fallback %d", mi)); err != nil {
+		c, err := mj.C.values(format, k, 0, fmt.Sprintf("fallback %d c", mi))
+		if err != nil {
 			return nil, err
 		}
 		if math.IsNaN(mj.RelError) || math.IsInf(mj.RelError, 0) || mj.RelError < 0 {
@@ -280,7 +345,7 @@ func loadFallbacks(fj *fallbacksJSON, k, q int) (*FallbackSet, error) {
 		}
 		fm := FallbackModel{
 			Excluded: append([]int(nil), mj.Excluded...),
-			Model:    &ols.Model{Alpha: alpha, C: mj.C},
+			Model:    &ols.Model{Alpha: mat.New(k, kept, alpha), C: c},
 			RelError: mj.RelError,
 		}
 		fm.buildKeep(q)

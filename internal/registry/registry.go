@@ -402,9 +402,9 @@ func ValidID(id string) bool {
 }
 
 // Dir is the standard filesystem artifact layout: one JSON artifact per
-// tenant — a full voltsense-predictor/v1 model, or a thin voltsense-delta/v1
-// that the serve layer resolves against its pinned prior — named <id>.json,
-// flat in one directory.
+// tenant — a full voltsense-predictor/v2 (or legacy v1) model, or a thin
+// voltsense-delta/v1 that the serve layer resolves against its pinned
+// prior — named <id>.json, flat in one directory.
 type Dir struct{ Path string }
 
 // File maps a tenant id to its artifact path, rejecting invalid ids before

@@ -16,10 +16,11 @@ import (
 	"voltsense/internal/transfer"
 )
 
-// loadArtifact decodes one store artifact. Full voltsense-predictor/v1
-// artifacts load exactly as before; thin voltsense-delta/v1 artifacts
-// (written by /v1/calibrate) resolve against the pinned shared prior into a
-// full predictor at load time. A delta in a store with no configured prior
+// loadArtifact decodes one store artifact. Full predictor artifacts —
+// voltsense-predictor/v2 with binary coefficient blocks, or legacy
+// voltsense-predictor/v1 with decimal ones — load through core.LoadPredictor;
+// thin voltsense-delta/v1 artifacts (written by /v1/calibrate) resolve
+// against the pinned shared prior into a full predictor at load time. A delta in a store with no configured prior
 // is a deployment error, reported per tenant rather than crashing the fleet.
 // The artifact is parsed in full once, by the loader its format tag names.
 func (s *Server) loadArtifact(data []byte) (*core.Predictor, error) {

@@ -32,8 +32,14 @@ func FuzzLoadArtifact(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	var pred bytes.Buffer
+	var pred, withFB, indented bytes.Buffer
 	if err := testPredictor().Save(&pred); err != nil {
+		f.Fatal(err)
+	}
+	if err := faultPredictor(f).Save(&withFB); err != nil {
+		f.Fatal(err)
+	}
+	if err := json.Indent(&indented, withFB.Bytes(), "", "  "); err != nil {
 		f.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
@@ -56,11 +62,17 @@ func FuzzLoadArtifact(f *testing.F) {
 	}
 	for _, seed := range []string{
 		pred.String(),
-		legacyArtifact, // indented
+		withFB.String(),
+		indented.String(),
+		legacyArtifact, // v1, indented
+		faultArtifact,  // v1 with fallbacks
 		delta.String(),
 		pred.String() + `{"format":"garbage"} trailing junk`,
+		withFB.String() + `{"format":"garbage"} trailing junk`,
 		delta.String() + `{"format":"garbage"} trailing junk`,
 		`{"selected_sensors":[3,7],"alpha":[[1,0],[0,1],[0.5,0.5]],"c":[0,0,0],"format":"voltsense-predictor/v1"}`,
+		`{"selected_sensors":[3,7],"alpha":"AAAAAAAA8D8AAAAAAAAAAA==","c":"AAAAAAAAAAA=","format":"voltsense-predictor/v2"}`,
+		`{"format":"voltsense-predictor/v2","selected_sensors":[3,7],"alpha":[[1,0]],"c":"AAAAAAAAAAA="}`,
 		`{"rows":[],"prior_fingerprint":"` + prior.Fingerprint() + `","format":"voltsense-delta/v1"}`,
 		`{"FORMAT":"voltsense-delta/v1","prior_fingerprint":"` + prior.Fingerprint() + `","rows":[]}`,
 		`{"format":"voltsense-delta/v1","prior_fingerprint":"` + prior.Fingerprint() + `","rows":[],"format":"voltsense-predictor/v1"}`,
